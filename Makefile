@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race lint lint-gcasm fmt-check check verify chaos-smoke stream-smoke cluster-smoke fuzz-smoke bench bench-json bench-smoke serve
+.PHONY: all build vet test test-race lint lint-gcasm fmt-check check verify chaos-smoke stream-smoke cluster-smoke bench-selftest fuzz-smoke bench bench-json bench-smoke serve
 
 all: check
 
@@ -44,7 +44,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
-check: build vet test test-race lint lint-gcasm chaos-smoke stream-smoke cluster-smoke
+check: build vet test test-race lint lint-gcasm chaos-smoke stream-smoke cluster-smoke bench-selftest
 
 # Cross-engine conformance harness (differential + metamorphic + analytic
 # oracles over the deterministic corpus), then the sparse engines
@@ -83,6 +83,13 @@ stream-smoke:
 cluster-smoke:
 	$(GO) test -race -count=1 -run '^TestConformanceCluster$$' .
 	$(GO) test -race -count=1 -run '^TestClusterChaosSoak$$' ./internal/verify
+
+# The end-to-end benchmark (perfbench/, see BENCHMARK.json) is a nested
+# module that imports gcacc/internal/*, so `go test ./...` at the root
+# skips it. Vet and self-test it here, so an internal API change cannot
+# break the benchmark while every root test stays green.
+bench-selftest:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Mutate each fuzz target briefly on top of the checked-in seed corpora.
 FUZZTIME ?= 10s

@@ -170,8 +170,5 @@ func readGraph(path, format string) (*graph.Graph, error) {
 		return nil, err
 	}
 	defer func() { _ = f.Close() }() // read-only input
-	if format == "matrix" {
-		return graph.ReadMatrix(f)
-	}
-	return graph.ReadEdgeList(f)
+	return graph.Read(f, format)
 }

@@ -238,14 +238,7 @@ func readGraph(path, format string) (*graph.Graph, error) {
 		defer func() { _ = f.Close() }() // read-only input
 		r = f
 	}
-	switch format {
-	case "edges":
-		return graph.ReadEdgeList(r)
-	case "matrix":
-		return graph.ReadMatrix(r)
-	default:
-		return nil, fmt.Errorf("unknown format %q", format)
-	}
+	return graph.Read(r, format)
 }
 
 func run(g *graph.Graph, engine string, stats bool) (labels []int, extra string, err error) {

@@ -15,8 +15,9 @@
 // only accepts when started with -chaos. The report always splits latency
 // percentiles into clean vs degraded responses and adds the server's
 // resilience counters — the degraded-mode p50/p99 the chaos tier
-// documents. Against a sharded deployment the X-GCA-Shard-Owner header
-// additionally keys a per-shard p50/p99 breakdown.
+// documents. The X-GCA-Shard-Owner header of every reply keys a
+// per-shard p50/p99 breakdown; a standalone server is a one-member ring,
+// so its report has a single "shard 0" line.
 //
 // With -replicas R the tool instead builds an in-process cluster of R
 // replicas (the same topology the conformance tier verifies) and drives
@@ -214,7 +215,7 @@ func main() {
 						st.latencies = append(st.latencies, lat)
 					}
 					st.retries += r.Retries
-					// A sharded deployment names the owner on every response.
+					// Every deployment names the owner on every response.
 					if shard := resp.Header.Get(cluster.OwnerHeader); shard != "" {
 						if s, err := strconv.Atoi(shard); err == nil {
 							st.byShard[s] = append(st.byShard[s], lat)

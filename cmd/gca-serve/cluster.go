@@ -1,16 +1,16 @@
 package main
 
 // The sharded serving tier of gca-serve: N replicas form a static peer
-// ring (-peers, -self), single requests route to their shard owner by
-// consistent hashing on the graph fingerprint (proxy, redirect or
-// cache-federate per -cluster-mode), and POST /v1/components/batch
-// admits many graphs under one queue ticket, splitting them across
-// owners. internal/cluster holds the routing machinery; this file is
-// the HTTP skin.
+// ring (-peers, -self; without -peers a one-member ring), single
+// requests route to their shard owner by consistent hashing on the
+// graph fingerprint (proxy, redirect or cache-federate per
+// -cluster-mode), and POST /v1/components/batch admits many graphs
+// under one queue ticket, splitting them across owners.
+// internal/cluster holds the routing machinery; this file is the HTTP
+// skin.
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -92,29 +92,20 @@ func buildCluster(svc *service.Service, f clusterFlags) (node *cluster.Node, pee
 	return node, peerURLs, redirect, nil
 }
 
-// clusterComponentsResponse is the single-request body with routing
-// provenance appended.
-type clusterComponentsResponse struct {
-	componentsResponse
-	Owner         int  `json:"owner"`
-	Served        int  `json:"served"`
-	Proxied       bool `json:"proxied,omitempty"`
-	PeerCacheHit  bool `json:"peer_cache_hit,omitempty"`
-	FallbackLocal bool `json:"fallback_local,omitempty"`
-}
-
-// clusterComponentsHandler serves POST /v1/components on a multi-replica
-// deployment: the request routes to its shard owner, and every response
-// carries X-GCA-Shard-Owner. In redirect mode a non-owned request
-// answers 307 to the owner's URL instead of proxying (the body travels
-// again — 307 preserves method and body).
+// clusterComponentsHandler serves POST /v1/components on every
+// deployment; a standalone server is a one-member ring. The request
+// routes to its shard owner, and every response carries
+// X-GCA-Shard-Owner. In redirect mode a non-owned request answers 307 to
+// the owner's URL instead of proxying (the body travels again — 307
+// preserves method and body). The graph is hashed at most once here:
+// OwnerOf leaves the fingerprint in req for Submit and the service.
 func clusterComponentsHandler(node *cluster.Node, peerURLs []string, redirect bool, maxBody int64, chaos bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		req, ok := parseComponents(w, r, maxBody, chaos)
 		if !ok {
 			return
 		}
-		owner := node.Owner(req.Graph.Fingerprint())
+		owner := node.OwnerOf(&req)
 		w.Header().Set(cluster.OwnerHeader, strconv.Itoa(owner))
 		if redirect && owner != node.Self() && owner < len(peerURLs) {
 			loc := peerURLs[owner] + "/v1/components"
@@ -129,15 +120,28 @@ func clusterComponentsHandler(node *cluster.Node, peerURLs []string, redirect bo
 			writeError(w, cluster.StatusOf(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, clusterComponentsResponse{
-			componentsResponse: buildComponentsResponse(req.Graph.N(), res.Result,
-				r.URL.Query().Get("labels") != "0"),
+		resp := componentsResponse{
+			N:             req.Graph.N(),
+			Components:    res.Components,
+			Engine:        res.Engine,
+			Cached:        res.Cached,
+			Coalesced:     res.Coalesced,
+			Degraded:      res.Degraded,
+			Retries:       res.Retries,
+			Generations:   res.Generations,
+			PRAMSteps:     res.PRAMSteps,
+			WaitUS:        res.Wait.Microseconds(),
+			RunUS:         res.Run.Microseconds(),
 			Owner:         res.Owner,
 			Served:        res.Served,
 			Proxied:       res.Proxied,
 			PeerCacheHit:  res.PeerCacheHit,
 			FallbackLocal: res.FallbackLocal,
-		})
+		}
+		if r.URL.Query().Get("labels") != "0" {
+			resp.Labels = res.Labels
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -149,13 +153,8 @@ func clusterComponentsHandler(node *cluster.Node, peerURLs []string, redirect bo
 func batchHandler(node *cluster.Node, maxBody int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req cluster.WireBatchRequest
-		if err := decodeJSONBody(w, r, maxBody, &req); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge, err)
-			} else {
-				writeError(w, http.StatusBadRequest, err)
-			}
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+			writeError(w, bodyStatus(err), fmt.Errorf("decoding request body: %w", err))
 			return
 		}
 		items := make([]cluster.BatchItem, len(req.Items))
@@ -174,21 +173,6 @@ func batchHandler(node *cluster.Node, maxBody int64) http.HandlerFunc {
 		}
 		writeJSON(w, http.StatusOK, resp)
 	}
-}
-
-// decodeJSONBody reads a bounded JSON request body. A body above
-// maxBody answers 413 via the MaxBytesReader error surfacing through
-// the decoder.
-func decodeJSONBody(w http.ResponseWriter, r *http.Request, maxBody int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return err
-		}
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	return nil
 }
 
 // statsResponse nests the cluster snapshot under the service stats; the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gcacc/internal/cluster"
 	"gcacc/internal/fault"
 	"gcacc/internal/service"
 )
@@ -71,7 +72,7 @@ func TestComponentsHandlerDisconnectMidRun(t *testing.T) {
 		}),
 	})
 	t.Cleanup(svc.Close)
-	h := componentsHandler(svc, 1<<20, false)
+	h := newComponentsHandler(t, svc, 1<<20, false)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -85,8 +86,8 @@ func TestComponentsHandlerDisconnectMidRun(t *testing.T) {
 		strings.NewReader(pathBody(8))).WithContext(ctx)
 	w := httptest.NewRecorder()
 	h(w, req)
-	if w.Code != statusClientClosedRequest {
-		t.Fatalf("status = %d, want %d (body %q)", w.Code, statusClientClosedRequest, w.Body.String())
+	if w.Code != cluster.StatusClientClosedRequest {
+		t.Fatalf("status = %d, want %d (body %q)", w.Code, cluster.StatusClientClosedRequest, w.Body.String())
 	}
 	errorBody(t, w)
 }
@@ -107,7 +108,7 @@ func TestComponentsHandlerDeadlineExpiresInQueue(t *testing.T) {
 		}),
 	})
 	t.Cleanup(svc.Close)
-	h := componentsHandler(svc, 1<<20, false)
+	h := newComponentsHandler(t, svc, 1<<20, false)
 
 	// Occupy the only worker with a slow run (~50 generations × 2ms).
 	blockerDone := make(chan *httptest.ResponseRecorder, 1)
@@ -165,11 +166,55 @@ func TestComponentsHandlerDeadlineExpiresInQueue(t *testing.T) {
 	}
 }
 
+func TestComponentsHandlerQueueFull429(t *testing.T) {
+	// With the only worker busy and the only queue slot taken, the next
+	// request is shed at admission: 429 with Retry-After, not a wait.
+	svc := service.New(service.Config{
+		QueueDepth:  1,
+		Workers:     1,
+		MaxVertices: 64,
+		Fault: fault.New(fault.Config{
+			Seed:       1,
+			StepDelayP: 1,
+			StepDelay:  2 * time.Millisecond,
+		}),
+	})
+	t.Cleanup(svc.Close)
+	h := newComponentsHandler(t, svc, 1<<20, false)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{}, 2)
+	for _, n := range []int{8, 9} { // distinct graphs: no coalescing
+		go func(n int) {
+			req := httptest.NewRequest(http.MethodPost, "/v1/components",
+				strings.NewReader(pathBody(n))).WithContext(ctx)
+			h(httptest.NewRecorder(), req)
+			done <- struct{}{}
+		}(n)
+		waitStats(t, svc, func(st service.Stats) bool { return st.Accepted == int64(n-7) })
+	}
+	waitStats(t, svc, func(st service.Stats) bool {
+		return st.InFlight == 1 && st.QueueDepth == 1
+	})
+
+	w := postComponents(t, h, "", "2 1\n0 1\n")
+	cancel()
+	<-done
+	<-done
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429 (body %q)", w.Code, w.Body.String())
+	}
+	errorBody(t, w)
+	if got := w.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("429 Retry-After = %q, want \"1\"", got)
+	}
+}
+
 func TestComponentsHandlerZeroBudgetDeadline(t *testing.T) {
 	// A request arriving with its deadline already spent must be turned
 	// away at admission — 504, nothing queued, nothing simulated.
 	svc := newTestService(t)
-	h := componentsHandler(svc, 1<<20, false)
+	h := newComponentsHandler(t, svc, 1<<20, false)
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
@@ -196,7 +241,7 @@ func TestComponentsHandlerFaultParamGatedByChaos(t *testing.T) {
 
 	// Chaos off: the fault parameter is an error, and the message names
 	// the flag that would enable it.
-	h := componentsHandler(svc, 1<<20, false)
+	h := newComponentsHandler(t, svc, 1<<20, false)
 	w := postComponents(t, h, "?fault=seed=1,steperr=0.5", "2 1\n0 1\n")
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("chaos off: status = %d, want 400 (body %q)", w.Code, w.Body.String())
@@ -206,7 +251,7 @@ func TestComponentsHandlerFaultParamGatedByChaos(t *testing.T) {
 	}
 
 	// Chaos on, malformed spec: still 400.
-	h = componentsHandler(svc, 1<<20, true)
+	h = newComponentsHandler(t, svc, 1<<20, true)
 	w = postComponents(t, h, "?fault=steperr=yes", "2 1\n0 1\n")
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("bad spec: status = %d, want 400 (body %q)", w.Code, w.Body.String())

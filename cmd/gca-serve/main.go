@@ -16,7 +16,10 @@
 //	    names the sparse-capable engines), an expired deadline 504, an
 //	    open circuit breaker without fallback 503, and a client that
 //	    disconnects mid-request 499 (nginx's "client closed request";
-//	    only the access log sees it).
+//	    only the access log sees it). Every reply names the graph's
+//	    shard owner in X-GCA-Shard-Owner and "owner"/"served": a
+//	    standalone server is a one-member ring (cluster.go), so these
+//	    read 0, and one handler serves every deployment.
 //	GET  /v1/stats      JSON metrics snapshot (queue, cache, latencies,
 //	    retries, breaker state, fallbacks, injected-fault counters).
 //	PUT/GET/DELETE /v1/graphs/{name} · POST/DELETE /v1/graphs/{name}/edges
@@ -152,15 +155,12 @@ func main() {
 		log.Fatalf("gca-serve: cluster: %v", err)
 	}
 
+	// Every deployment is a ring (a standalone server is a one-member
+	// one): single requests route through it and carry the shard-owner
+	// header, and peers reach this replica's queue, cache and batch
+	// runner on /internal/v1.
 	mux := http.NewServeMux()
-	if len(peerURLs) > 1 {
-		// Multi-replica: single requests route through the ring (and carry
-		// the shard-owner header); peers reach this replica's queue, cache
-		// and batch runner on /internal/v1.
-		mux.HandleFunc("POST /v1/components", clusterComponentsHandler(node, peerURLs, redirect, *maxBody, *chaos))
-	} else {
-		mux.HandleFunc("POST /v1/components", componentsHandler(svc, *maxBody, *chaos))
-	}
+	mux.HandleFunc("POST /v1/components", clusterComponentsHandler(node, peerURLs, redirect, *maxBody, *chaos))
 	cluster.RegisterPeerHandlers(mux, node, *maxBody)
 	mux.HandleFunc("POST /v1/components/batch", batchHandler(node, *maxBody))
 	expvar.Publish("gcacc_cluster", expvar.Func(func() any { return node.Stats() }))
@@ -220,20 +220,27 @@ func main() {
 	log.Printf("gca-serve: bye")
 }
 
-// componentsResponse is the JSON body of a successful labelling.
+// componentsResponse is the JSON body of a successful labelling, with
+// its routing provenance: the shard owner of the graph and the member
+// that served it (both 0 on a standalone server).
 type componentsResponse struct {
-	N           int    `json:"n"`
-	Components  int    `json:"components"`
-	Engine      string `json:"engine"`
-	Cached      bool   `json:"cached"`
-	Coalesced   bool   `json:"coalesced"`
-	Degraded    bool   `json:"degraded,omitempty"`
-	Retries     int    `json:"retries,omitempty"`
-	Generations int    `json:"generations,omitempty"`
-	PRAMSteps   int    `json:"pram_steps,omitempty"`
-	WaitUS      int64  `json:"wait_us"`
-	RunUS       int64  `json:"run_us"`
-	Labels      []int  `json:"labels,omitempty"`
+	N             int    `json:"n"`
+	Components    int    `json:"components"`
+	Engine        string `json:"engine"`
+	Cached        bool   `json:"cached"`
+	Coalesced     bool   `json:"coalesced"`
+	Degraded      bool   `json:"degraded,omitempty"`
+	Retries       int    `json:"retries,omitempty"`
+	Generations   int    `json:"generations,omitempty"`
+	PRAMSteps     int    `json:"pram_steps,omitempty"`
+	WaitUS        int64  `json:"wait_us"`
+	RunUS         int64  `json:"run_us"`
+	Labels        []int  `json:"labels,omitempty"`
+	Owner         int    `json:"owner"`
+	Served        int    `json:"served"`
+	Proxied       bool   `json:"proxied,omitempty"`
+	PeerCacheHit  bool   `json:"peer_cache_hit,omitempty"`
+	FallbackLocal bool   `json:"fallback_local,omitempty"`
 }
 
 // parseComponents decodes a POST /v1/components request (query knobs +
@@ -266,25 +273,9 @@ func parseComponents(w http.ResponseWriter, r *http.Request, maxBody int64, chao
 		reqInj = fault.New(cfg)
 	}
 
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	var g *graph.Graph
-	switch format := q.Get("format"); format {
-	case "", "edges":
-		g, err = graph.ReadEdgeList(body)
-	case "matrix":
-		g, err = graph.ReadMatrix(body)
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (edges|matrix)", format))
-		return service.Request{}, false
-	}
+	g, err := graph.Read(http.MaxBytesReader(w, r.Body, maxBody), q.Get("format"))
 	if err != nil {
-		// MaxBytesReader surfaces through the parser; keep the 413.
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return service.Request{}, false
-		}
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, bodyStatus(err), err)
 		return service.Request{}, false
 	}
 
@@ -296,78 +287,15 @@ func parseComponents(w http.ResponseWriter, r *http.Request, maxBody int64, chao
 	}, true
 }
 
-// buildComponentsResponse assembles the success body shared by the
-// standalone and cluster-routed handlers.
-func buildComponentsResponse(n int, res *service.Result, withLabels bool) componentsResponse {
-	resp := componentsResponse{
-		N:           n,
-		Components:  res.Components,
-		Engine:      res.Engine,
-		Cached:      res.Cached,
-		Coalesced:   res.Coalesced,
-		Degraded:    res.Degraded,
-		Retries:     res.Retries,
-		Generations: res.Generations,
-		PRAMSteps:   res.PRAMSteps,
-		WaitUS:      res.Wait.Microseconds(),
-		RunUS:       res.Run.Microseconds(),
-	}
-	if withLabels {
-		resp.Labels = res.Labels
-	}
-	return resp
-}
-
-func componentsHandler(svc *service.Service, maxBody int64, chaos bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		req, ok := parseComponents(w, r, maxBody, chaos)
-		if !ok {
-			return
-		}
-		res, err := svc.Submit(r.Context(), req)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK,
-			buildComponentsResponse(req.Graph.N(), res, r.URL.Query().Get("labels") != "0"))
-	}
-}
-
-// statusClientClosedRequest is nginx's non-standard 499 "client closed
-// request": the client disconnected before the response was written. The
-// stdlib has no constant for it. Nobody receives the response body — the
-// code exists so access logs and metrics can tell an abandoned request
-// from a server fault (500) or a served timeout (504).
-const statusClientClosedRequest = 499
-
-// statusOf maps serving-layer errors onto HTTP status codes — the
-// admission contract of the ISSUE: full queue means 429, not queueing
-// forever.
-func statusOf(err error) int {
-	switch {
-	case errors.Is(err, service.ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, service.ErrTooLarge):
+// bodyStatus maps a failure reading a request body: 413 when the
+// MaxBytesReader cap tripped (the error surfaces through the parser or
+// decoder), 400 for anything else.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
 		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, service.ErrDenseOnly):
-		// Well-formed request, but the named engine cannot process an
-		// input this size: 422, so clients can tell "pick a sparse
-		// engine" apart from "shrink the graph" (413).
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, service.ErrClosed), errors.Is(err, service.ErrBreakerOpen):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, service.ErrInvalidEngine), errors.Is(err, service.ErrNilGraph):
-		return http.StatusBadRequest
-	case errors.Is(err, service.ErrEnginePanic):
-		return http.StatusInternalServerError
-	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
 	}
+	return http.StatusBadRequest
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"gcacc/internal/cluster"
 	"gcacc/internal/service"
+	"gcacc/internal/stream"
 )
 
 // Handler-level tests: every malformed or hostile request must map onto
@@ -27,6 +29,13 @@ func newTestService(t *testing.T) *service.Service {
 	})
 	t.Cleanup(svc.Close)
 	return svc
+}
+
+// newComponentsHandler serves POST /v1/components through svc on a
+// one-member ring — the shape a standalone gca-serve runs.
+func newComponentsHandler(t *testing.T, svc *service.Service, maxBody int64, chaos bool) http.HandlerFunc {
+	t.Helper()
+	return clusterComponentsHandler(newStandaloneNode(t, svc), nil, false, maxBody, chaos)
 }
 
 func postComponents(t *testing.T, h http.HandlerFunc, query, body string) *httptest.ResponseRecorder {
@@ -52,7 +61,7 @@ func errorBody(t *testing.T, w *httptest.ResponseRecorder) string {
 }
 
 func TestComponentsHandlerSuccess(t *testing.T) {
-	h := componentsHandler(newTestService(t), 1<<20, false)
+	h := newComponentsHandler(t, newTestService(t), 1<<20, false)
 	w := postComponents(t, h, "", "4 2\n0 1\n2 3\n")
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200 (body %q)", w.Code, w.Body.String())
@@ -73,6 +82,16 @@ func TestComponentsHandlerSuccess(t *testing.T) {
 			}
 		}
 	}
+
+	// labels=0 drops the label vector and keeps the rest (a cache hit).
+	w = postComponents(t, h, "?labels=0", "4 2\n0 1\n2 3\n")
+	var lean componentsResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &lean); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("labels=0: status %d, decode error %v (body %q)", w.Code, err, w.Body.String())
+	}
+	if lean.Labels != nil || lean.N != 4 || lean.Components != 2 || !lean.Cached {
+		t.Fatalf("labels=0 response = %+v, want no labels, n=4, components=2, cached", lean)
+	}
 }
 
 // TestComponentsHandlerDenseOnlyAboveCutoff pins the dense-engine
@@ -88,7 +107,7 @@ func TestComponentsHandlerDenseOnlyAboveCutoff(t *testing.T) {
 		DenseCutoff: 16, // small override so the test graph stays tiny
 	})
 	t.Cleanup(svc.Close)
-	h := componentsHandler(svc, 1<<20, false)
+	h := newComponentsHandler(t, svc, 1<<20, false)
 
 	body := "17 1\n0 16\n"
 	w := postComponents(t, h, "?engine=gca", body)
@@ -115,7 +134,7 @@ func TestComponentsHandlerDenseOnlyAboveCutoff(t *testing.T) {
 }
 
 func TestComponentsHandlerUnknownEngine(t *testing.T) {
-	h := componentsHandler(newTestService(t), 1<<20, false)
+	h := newComponentsHandler(t, newTestService(t), 1<<20, false)
 	w := postComponents(t, h, "?engine=quantum", "2 1\n0 1\n")
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", w.Code)
@@ -126,7 +145,7 @@ func TestComponentsHandlerUnknownEngine(t *testing.T) {
 }
 
 func TestComponentsHandlerUnknownFormat(t *testing.T) {
-	h := componentsHandler(newTestService(t), 1<<20, false)
+	h := newComponentsHandler(t, newTestService(t), 1<<20, false)
 	w := postComponents(t, h, "?format=xml", "2 1\n0 1\n")
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", w.Code)
@@ -135,7 +154,7 @@ func TestComponentsHandlerUnknownFormat(t *testing.T) {
 }
 
 func TestComponentsHandlerMalformedBody(t *testing.T) {
-	h := componentsHandler(newTestService(t), 1<<20, false)
+	h := newComponentsHandler(t, newTestService(t), 1<<20, false)
 	for _, body := range []string{
 		"this is not a graph",
 		"3 1\n0 9\n", // endpoint out of range
@@ -155,7 +174,7 @@ func TestComponentsHandlerMalformedBody(t *testing.T) {
 func TestComponentsHandlerOversizedBody(t *testing.T) {
 	// A 64-byte cap makes the MaxBytesReader trip mid-parse; the handler
 	// must surface that as 413, not as a generic parse failure.
-	h := componentsHandler(newTestService(t), 64, false)
+	h := newComponentsHandler(t, newTestService(t), 64, false)
 	var b strings.Builder
 	fmt.Fprintf(&b, "40 39\n")
 	for i := 0; i < 39; i++ {
@@ -173,14 +192,14 @@ func TestComponentsHandlerClientDisconnect(t *testing.T) {
 	// context. The handler must answer 499 (client closed request), not
 	// 500: the failure is the client's, and dashboards alerting on 5xx
 	// must not page for it.
-	h := componentsHandler(newTestService(t), 1<<20, false)
+	h := newComponentsHandler(t, newTestService(t), 1<<20, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest(http.MethodPost, "/v1/components", strings.NewReader("2 1\n0 1\n")).WithContext(ctx)
 	w := httptest.NewRecorder()
 	h(w, req)
-	if w.Code != statusClientClosedRequest {
-		t.Fatalf("status = %d, want %d (body %q)", w.Code, statusClientClosedRequest, w.Body.String())
+	if w.Code != cluster.StatusClientClosedRequest {
+		t.Fatalf("status = %d, want %d (body %q)", w.Code, cluster.StatusClientClosedRequest, w.Body.String())
 	}
 	errorBody(t, w)
 }
@@ -190,7 +209,7 @@ func TestComponentsHandlerQueueFullAndClosed(t *testing.T) {
 	// header is reserved for 429.
 	svc := service.New(service.Config{QueueDepth: 1, Workers: 1, MaxVertices: 16})
 	svc.Close()
-	h := componentsHandler(svc, 1<<20, false)
+	h := newComponentsHandler(t, svc, 1<<20, false)
 	w := postComponents(t, h, "", "2 1\n0 1\n")
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503 (body %q)", w.Code, w.Body.String())
@@ -201,6 +220,9 @@ func TestComponentsHandlerQueueFullAndClosed(t *testing.T) {
 	}
 }
 
+// TestStatusOf pins gca-serve's error-to-status mapping: the streaming
+// sentinels it adds and the serving-layer contract it inherits from
+// cluster.StatusOf (a full queue is 429, not queueing forever).
 func TestStatusOf(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -214,15 +236,24 @@ func TestStatusOf(t *testing.T) {
 		{service.ErrInvalidEngine, http.StatusBadRequest},
 		{service.ErrNilGraph, http.StatusBadRequest},
 		{service.ErrEnginePanic, http.StatusInternalServerError},
-		{context.Canceled, statusClientClosedRequest},
+		{context.Canceled, cluster.StatusClientClosedRequest},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{errors.New("mystery"), http.StatusInternalServerError},
-		{fmt.Errorf("wrapped: %w", context.Canceled), statusClientClosedRequest},
+		{fmt.Errorf("wrapped: %w", context.Canceled), cluster.StatusClientClosedRequest},
 		{fmt.Errorf("wrapped: %w", service.ErrQueueFull), http.StatusTooManyRequests},
+		{stream.ErrUnknownGraph, http.StatusNotFound},
+		{stream.ErrGraphExists, http.StatusConflict},
+		{stream.ErrEpochConflict, http.StatusConflict},
+		{stream.ErrGraphLimit, http.StatusTooManyRequests},
+		{stream.ErrBatchLimit, http.StatusUnprocessableEntity},
+		{stream.ErrEdgeLimit, http.StatusUnprocessableEntity},
+		{stream.ErrInvalidEdge, http.StatusUnprocessableEntity},
+		{stream.ErrBadName, http.StatusBadRequest},
+		{fmt.Errorf("wrapped: %w", stream.ErrEpochConflict), http.StatusConflict},
 	}
 	for _, c := range cases {
-		if got := statusOf(c.err); got != c.want {
-			t.Errorf("statusOf(%v) = %d, want %d", c.err, got, c.want)
+		if got := streamStatusOf(c.err); got != c.want {
+			t.Errorf("streamStatusOf(%v) = %d, want %d", c.err, got, c.want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"gcacc/internal/cluster"
 	"gcacc/internal/stream"
 )
 
@@ -116,16 +117,13 @@ func (api *streamAPI) mutate(appendOp bool) http.HandlerFunc {
 		body := http.MaxBytesReader(w, r.Body, api.maxBody)
 		edges, err := stream.ParseBatch(body, api.reg.Config().MaxBatch)
 		if err != nil {
-			var tooBig *http.MaxBytesError
-			switch {
-			case errors.As(err, &tooBig):
-				writeError(w, http.StatusRequestEntityTooLarge, err)
-			case errors.Is(err, stream.ErrBatchLimit):
-				writeError(w, http.StatusUnprocessableEntity, err)
-			default:
-				// Anything else from the batch parser is a malformed body.
-				writeError(w, http.StatusBadRequest, err)
+			// 413 past -max-body, 422 past the batch limit, and anything
+			// else from the batch parser is a malformed body (400).
+			status := bodyStatus(err)
+			if errors.Is(err, stream.ErrBatchLimit) {
+				status = http.StatusUnprocessableEntity
 			}
+			writeError(w, status, err)
 			return
 		}
 		var m stream.Mutation
@@ -154,9 +152,9 @@ func (api *streamAPI) components(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// streamStatusOf maps streaming-tier errors onto HTTP status codes,
-// deferring to the service mapping (and its 499/504 context cases) for
-// everything it does not know.
+// streamStatusOf maps the streaming-tier sentinels onto HTTP status
+// codes and defers to cluster.StatusOf (the serving-layer mapping with
+// its 499/504 context cases) for everything else.
 func streamStatusOf(err error) int {
 	switch {
 	case errors.Is(err, stream.ErrUnknownGraph):
@@ -176,6 +174,6 @@ func streamStatusOf(err error) int {
 	case errors.Is(err, stream.ErrBadName):
 		return http.StatusBadRequest
 	default:
-		return statusOf(err)
+		return cluster.StatusOf(err)
 	}
 }

@@ -59,8 +59,5 @@ func readGraph(path, format string) (*graph.Graph, error) {
 		defer func() { _ = f.Close() }() // read-only input
 		r = f
 	}
-	if format == "matrix" {
-		return graph.ReadMatrix(r)
-	}
-	return graph.ReadEdgeList(r)
+	return graph.Read(r, format)
 }

@@ -28,6 +28,10 @@ type BatchItem struct {
 	// could not parse this item's graph). The item short-circuits to a
 	// failed outcome without consuming compute; its siblings proceed.
 	Err error
+	// FP is Graph.Fingerprint() once SubmitBatch has routed the item
+	// (zero before); it reaches service.Request.FP so the service does
+	// not rehash. Like the request field, peer batches do not carry it.
+	FP [32]byte
 }
 
 // ItemOutcome is one item's result-or-error. Exactly one of Result and
@@ -74,6 +78,9 @@ func (n *Node) SubmitBatch(ctx context.Context, items []BatchItem) ([]ItemOutcom
 	n.metrics.batches.Inc()
 	n.metrics.batchItems.Add(int64(len(items)))
 
+	// A private copy, so filling FP below leaves the caller's items as
+	// given.
+	items = append([]BatchItem(nil), items...)
 	out := make([]ItemOutcome, len(items))
 	primaryOf := make(map[batchKey]int) // key → index of first occurrence
 	dupOf := make(map[int]int)          // duplicate index → primary index
@@ -88,6 +95,7 @@ func (n *Node) SubmitBatch(ctx context.Context, items []BatchItem) ([]ItemOutcom
 			continue
 		}
 		fp := it.Graph.Fingerprint()
+		items[i].FP = fp
 		if !it.NoCache {
 			k := batchKey{fp: fp, engine: it.Engine}
 			if p, ok := primaryOf[k]; ok {
@@ -208,7 +216,7 @@ func (n *Node) runItem(ctx context.Context, it BatchItem) (*service.Result, erro
 		ictx, cancel = context.WithTimeout(ctx, it.Timeout)
 		defer cancel()
 	}
-	return n.svc.Submit(ictx, service.Request{Graph: it.Graph, Engine: it.Engine, NoCache: it.NoCache})
+	return n.svc.Submit(ictx, service.Request{Graph: it.Graph, Engine: it.Engine, NoCache: it.NoCache, FP: it.FP})
 }
 
 // peerBatch ships a pre-routed sub-batch to its owner as one peer call.

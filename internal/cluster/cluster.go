@@ -243,6 +243,17 @@ func (n *Node) Self() int { return n.cfg.Self }
 // Owner returns the shard owner of a fingerprint.
 func (n *Node) Owner(fp [32]byte) int { return n.ring.Owner(fp) }
 
+// OwnerOf returns the shard owner of req's graph. On a multi-member
+// ring it hashes through req.Fingerprint, so the key rides along in req
+// and no later layer rehashes; a one-member ring owns every key and
+// hashes nothing here.
+func (n *Node) OwnerOf(req *service.Request) int {
+	if len(n.cfg.Members) == 1 {
+		return n.cfg.Self
+	}
+	return n.ring.Owner(req.Fingerprint())
+}
+
 // SetPeers wires the peer clients for the other ring members. Entries
 // for Self are ignored; members without an entry are treated as down
 // (every request for them degrades to local compute).
@@ -280,7 +291,8 @@ func (n *Node) Stopped() bool { return n.down.Load() }
 // Submit routes one request: the owner shard serves keys it owns from
 // its own queue/cache; non-owned keys are proxied or federated per
 // Config.Mode, with single-flight coalescing and local-compute fallback
-// when the owner is unreachable within the peer budget.
+// when the owner is unreachable within the peer budget. A request whose
+// FP the caller already filled is not hashed again.
 func (n *Node) Submit(ctx context.Context, req service.Request) (*Result, error) {
 	if n.down.Load() {
 		return nil, ErrNodeDown
@@ -289,8 +301,7 @@ func (n *Node) Submit(ctx context.Context, req service.Request) (*Result, error)
 	if req.Graph == nil {
 		return nil, service.ErrNilGraph
 	}
-	fp := req.Graph.Fingerprint()
-	owner := n.ring.Owner(fp)
+	owner := n.OwnerOf(&req)
 	if owner == n.cfg.Self {
 		n.metrics.ownedLocal.Inc()
 		res, err := n.svc.Submit(ctx, req)
@@ -301,6 +312,7 @@ func (n *Node) Submit(ctx context.Context, req service.Request) (*Result, error)
 	}
 
 	n.metrics.routedRemote.Inc()
+	fp := req.Fingerprint() // already computed by OwnerOf
 	// Single-flight the whole non-owner path: concurrent identical
 	// requests on this replica issue one peer call / one local compute
 	// between them. NoCache requests opt out, same as in the service.

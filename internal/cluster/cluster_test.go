@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -381,6 +383,94 @@ func TestHTTPPeerTransport(t *testing.T) {
 	}
 }
 
+// TestSuppliedFingerprintIsNotRehashed pins "hash once per replica": a
+// request that arrives with FP set is cached and served under that key
+// by every layer below the one that hashed — service.Submit, Node.Submit
+// on a one-member ring, Node.Submit on the owner in a two-member
+// LocalPeer topology, and the owner's sub-batch runner. The supplied key
+// deliberately differs from the graph's own fingerprint, so a layer that
+// rehashed would cache under the real key instead.
+func TestSuppliedFingerprintIsNotRehashed(t *testing.T) {
+	g := graph.Path(5)
+	real := g.Fingerprint()
+	const eng = gcacc.EngineSequential
+	// ownedKey returns a key other than g's fingerprint that node owns.
+	ownedKey := func(node *Node) [32]byte {
+		for i := uint64(1); ; i++ {
+			var fp [32]byte
+			binary.LittleEndian.PutUint64(fp[:], i*0x9e3779b97f4a7c15)
+			if fp != real && node.Owner(fp) == node.Self() {
+				return fp
+			}
+		}
+	}
+	check := func(name string, svc *service.Service, fp [32]byte, submit func(service.Request) (*service.Result, error)) {
+		t.Helper()
+		req := service.Request{Graph: g, Engine: eng, FP: fp}
+		for i, wantCached := range []bool{false, true} {
+			res, err := submit(req)
+			if err != nil {
+				t.Fatalf("%s: submit %d: %v", name, i, err)
+			}
+			if res.Cached != wantCached || res.Components != 1 {
+				t.Errorf("%s: submit %d: cached=%v components=%d, want cached=%v components=1",
+					name, i, res.Cached, res.Components, wantCached)
+			}
+		}
+		if _, ok := svc.CacheLookup(fp, eng); !ok {
+			t.Errorf("%s: result not cached under the supplied key", name)
+		}
+		if _, ok := svc.CacheLookup(real, eng); ok {
+			t.Errorf("%s: result cached under a rehashed key", name)
+		}
+	}
+	ctx := context.Background()
+
+	svc := service.New(service.Config{})
+	t.Cleanup(svc.Close)
+	check("service.Submit", svc, [32]byte{1}, func(req service.Request) (*service.Result, error) {
+		return svc.Submit(ctx, req)
+	})
+
+	solo, err := NewNode(service.New(service.Config{}), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(solo.Service().Close)
+	check("one-member Node.Submit", solo.Service(), ownedKey(solo), func(req service.Request) (*service.Result, error) {
+		res, err := solo.Submit(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		return res.Result, nil
+	})
+
+	top := testTopology(t, 2, ModeProxy)
+	for _, owner := range top.Nodes {
+		owner := owner
+		check(fmt.Sprintf("two-member Node.Submit on owner %d", owner.Self()), owner.Service(), ownedKey(owner),
+			func(req service.Request) (*service.Result, error) {
+				res, err := owner.Submit(ctx, req)
+				if err != nil {
+					return nil, err
+				}
+				if res.Owner != owner.Self() || res.Proxied {
+					t.Errorf("owned key routed away: owner=%d proxied=%v", res.Owner, res.Proxied)
+				}
+				return res.Result, nil
+			})
+	}
+
+	peer := top.Nodes[1]
+	check("owner sub-batch", peer.Service(), [32]byte{2}, func(req service.Request) (*service.Result, error) {
+		oc := peer.localBatch(ctx, []BatchItem{{Graph: req.Graph, Engine: req.Engine, FP: req.FP}})[0]
+		if oc.Err != nil {
+			return nil, oc.Err
+		}
+		return oc.Result.Result, nil
+	})
+}
+
 func TestStatusOf(t *testing.T) {
 	for _, tc := range []struct {
 		err  error
@@ -392,14 +482,20 @@ func TestStatusOf(t *testing.T) {
 		{service.ErrTooLarge, 413},
 		{ErrBatchTooLarge, 413},
 		{service.ErrDenseOnly, 422},
+		{service.ErrClosed, 503},
+		{service.ErrBreakerOpen, 503},
 		{ErrNodeDown, 503},
 		{ErrPeerDown, 503},
 		{ErrEmptyBatch, 400},
+		{service.ErrInvalidEngine, 400},
 		{service.ErrNilGraph, 400},
-		{context.Canceled, 499},
+		{service.ErrEnginePanic, 500},
+		{context.Canceled, StatusClientClosedRequest},
 		{context.DeadlineExceeded, 504},
 		{&StatusError{Code: 422, Msg: "x"}, 422},
 		{errors.New("mystery"), 500},
+		{fmt.Errorf("wrapped: %w", context.Canceled), StatusClientClosedRequest},
+		{fmt.Errorf("wrapped: %w", service.ErrQueueFull), 429},
 	} {
 		if got := StatusOf(tc.err); got != tc.want {
 			t.Errorf("StatusOf(%v) = %d, want %d", tc.err, got, tc.want)

@@ -22,6 +22,13 @@ import (
 // owner of the request's fingerprint.
 const OwnerHeader = "X-GCA-Shard-Owner"
 
+// StatusClientClosedRequest is nginx's non-standard 499 "client closed
+// request": the client disconnected before the response was written.
+// The stdlib has no constant for it. Nobody receives the response body;
+// the code exists so access logs and metrics can tell an abandoned
+// request from a server fault (500) or a served timeout (504).
+const StatusClientClosedRequest = 499
+
 // StatusError is an error that survived an HTTP hop: the peer transport
 // reconstructs the remote status so per-item outcomes keep their codes
 // end to end. StatusOf honours it first.
@@ -39,8 +46,8 @@ func (e *StatusError) Error() string {
 }
 
 // StatusOf maps cluster- and serving-layer errors onto HTTP status
-// codes; it is the batch tier's per-item contract (and a superset of
-// gca-serve's single-request mapping).
+// codes: the admission contract of POST /v1/components (a full queue is
+// 429, not an unbounded wait) and the batch tier's per-item contract.
 func StatusOf(err error) int {
 	var se *StatusError
 	if errors.As(err, &se) {
@@ -54,6 +61,9 @@ func StatusOf(err error) int {
 	case errors.Is(err, service.ErrTooLarge), errors.Is(err, ErrBatchTooLarge):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, service.ErrDenseOnly):
+		// Well-formed request, but the named engine cannot process an
+		// input this size: 422, so clients can tell "pick a sparse
+		// engine" apart from "shrink the graph" (413).
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, service.ErrClosed), errors.Is(err, service.ErrBreakerOpen),
 		errors.Is(err, ErrNodeDown), errors.Is(err, ErrPeerDown):
@@ -64,7 +74,7 @@ func StatusOf(err error) int {
 	case errors.Is(err, service.ErrEnginePanic):
 		return http.StatusInternalServerError
 	case errors.Is(err, context.Canceled):
-		return 499 // nginx's "client closed request"
+		return StatusClientClosedRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	default:
@@ -137,16 +147,7 @@ func DecodeWireItem(it WireItem) BatchItem {
 		}
 		out.Engine = eng
 	}
-	var g *graph.Graph
-	var err error
-	switch it.Format {
-	case "", "edges":
-		g, err = graph.ReadEdgeList(strings.NewReader(it.Graph))
-	case "matrix":
-		g, err = graph.ReadMatrix(strings.NewReader(it.Graph))
-	default:
-		err = fmt.Errorf("unknown format %q (edges|matrix)", it.Format)
-	}
+	g, err := graph.Read(strings.NewReader(it.Graph), it.Format)
 	if err != nil {
 		out.Err = &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 		return out

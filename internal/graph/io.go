@@ -66,6 +66,21 @@ func parseDecimal(s string) (int64, error) {
 	return v, nil
 }
 
+// Read parses r in the named text format: "edges" (also the empty
+// string, the default everywhere a format is optional) or "matrix". Any
+// other name is an error, so a typo never silently parses as an edge
+// list.
+func Read(r io.Reader, format string) (*Graph, error) {
+	switch format {
+	case "", "edges":
+		return ReadEdgeList(r)
+	case "matrix":
+		return ReadMatrix(r)
+	default:
+		return nil, fmt.Errorf("graph: unknown format %q (edges|matrix)", format)
+	}
+}
+
 // WriteMatrix writes g in "matrix" format.
 func WriteMatrix(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)

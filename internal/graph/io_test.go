@@ -102,6 +102,36 @@ func TestReadEdgeListComments(t *testing.T) {
 	}
 }
 
+// TestRead pins the one format switch every reader shares: "" and
+// "edges" parse an edge list, "matrix" a matrix, and any other name is
+// an error even when the body is a valid edge list.
+func TestRead(t *testing.T) {
+	want := Path(3)
+	edges := "3 2\n0 1\n1 2\n"
+	for _, tc := range []struct {
+		format, body string
+		ok           bool
+	}{
+		{"", edges, true},
+		{"edges", edges, true},
+		{"matrix", "010\n101\n010\n", true},
+		{"Matrix", edges, false},
+	} {
+		g, err := Read(strings.NewReader(tc.body), tc.format)
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), tc.format) {
+				t.Errorf("format %q: err = %v, want an error naming the format", tc.format, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("format %q: %v", tc.format, err)
+		} else if !g.Equal(want) {
+			t.Errorf("format %q: parsed a different graph", tc.format)
+		}
+	}
+}
+
 func TestParserCaps(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader("999999999 0\n")); err == nil {
 		t.Fatal("edge-list parser accepted an absurd vertex count")

@@ -152,6 +152,22 @@ type Request struct {
 	// Fault, if non-nil, overrides Config.Fault for this request — the
 	// HTTP layer's opt-in chaos mode threads per-request schedules here.
 	Fault *fault.Injector
+	// FP is Graph.Fingerprint() when a layer above has already hashed
+	// the graph (routing needs it before the service does); the zero
+	// value means "not yet computed". Only in-process callers set it;
+	// peer compute and batch calls do not carry it, so an owner reached
+	// over HTTP keys the result by the graph it parsed.
+	FP [32]byte
+}
+
+// Fingerprint returns the graph's fingerprint, hashing it only when FP
+// is still zero and storing the result there, so a request passed on
+// after this call carries its key and no layer below rehashes it.
+func (r *Request) Fingerprint() [32]byte {
+	if r.FP == ([32]byte{}) {
+		r.FP = r.Graph.Fingerprint()
+	}
+	return r.FP
 }
 
 // Result is what a caller gets back. Labels is the caller's own copy.
@@ -337,7 +353,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Result, error) {
 	useCache := s.cache != nil && !req.NoCache
 	var key cacheKey
 	if useCache {
-		key = cacheKey{fp: req.Graph.Fingerprint(), engine: req.Engine}
+		key = cacheKey{fp: req.Fingerprint(), engine: req.Engine}
 	}
 
 	// Admission. Cache lookup, in-flight join and enqueue happen under
