@@ -121,7 +121,7 @@ func clusterComponentsHandler(node *cluster.Node, peerURLs []string, redirect bo
 			return
 		}
 		resp := componentsResponse{
-			N:             req.Graph.N(),
+			N:             req.Edges.N(),
 			Components:    res.Components,
 			Engine:        res.Engine,
 			Cached:        res.Cached,

@@ -9,7 +9,9 @@
 //
 //	POST /v1/components?format=edges|matrix&engine=gca&nocache=1&labels=0
 //	    Body is a graph in the "edges" or "matrix" text format of
-//	    internal/graph/io.go. Returns the labelling as JSON. A malformed
+//	    internal/graph/io.go, parsed into an edge list whose canonical
+//	    fingerprint is the cache and ring key; only dense-only engines
+//	    densify it. Returns the labelling as JSON. A malformed
 //	    body or unknown engine/format answers 400, a full queue 429, an
 //	    oversized body or graph 413, a dense-only engine asked for a
 //	    graph above the dense cutoff 422 (see -dense-cutoff; the error
@@ -68,6 +70,7 @@ import (
 	"gcacc/internal/fault"
 	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 	"gcacc/internal/stream"
 )
 
@@ -81,8 +84,8 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
 		maxTimeout  = flag.Duration("max-timeout", 0, "cap on every request's deadline budget (0 = none)")
 		maxVertices = flag.Int("max-vertices", graph.MaxParseVertices, "largest admitted graph")
-		denseCutoff = flag.Int("dense-cutoff", 0, "largest graph a dense-only engine may process (0 = library default, negative disables)")
-		maxBody     = flag.Int64("max-body", 64<<20, "largest accepted request body in bytes")
+		denseCutoff = flag.Int("dense-cutoff", 0, "largest graph a dense-only engine may process (0, negative or above the library default 4096 = that default)")
+		maxBody     = flag.Int64("max-body", defaultMaxBody, "largest accepted request body in bytes")
 
 		retries         = flag.Int("retries", 0, "max retries of transient engine failures per request")
 		retryBase       = flag.Duration("retry-base", time.Millisecond, "first retry backoff (doubled per retry)")
@@ -160,9 +163,7 @@ func main() {
 	// header, and peers reach this replica's queue, cache and batch
 	// runner on /internal/v1.
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/components", clusterComponentsHandler(node, peerURLs, redirect, *maxBody, *chaos))
-	cluster.RegisterPeerHandlers(mux, node, *maxBody)
-	mux.HandleFunc("POST /v1/components/batch", batchHandler(node, *maxBody))
+	registerComponents(mux, node, peerURLs, redirect, *maxBody, *chaos)
 	expvar.Publish("gcacc_cluster", expvar.Func(func() any { return node.Stats() }))
 	if *streamGraphs > 0 {
 		eng, err := gcacc.ParseEngine(*streamEngine)
@@ -220,6 +221,18 @@ func main() {
 	log.Printf("gca-serve: bye")
 }
 
+// defaultMaxBody is the -max-body default; it admits an edge list of
+// 10⁶ vertices and 2·10⁶ edges (~28 MB of text).
+const defaultMaxBody = 64 << 20
+
+// registerComponents mounts the graph routes every deployment serves:
+// single and batch components requests, and the peer RPC surface.
+func registerComponents(mux *http.ServeMux, node *cluster.Node, peerURLs []string, redirect bool, maxBody int64, chaos bool) {
+	mux.HandleFunc("POST /v1/components", clusterComponentsHandler(node, peerURLs, redirect, maxBody, chaos))
+	cluster.RegisterPeerHandlers(mux, node, maxBody)
+	mux.HandleFunc("POST /v1/components/batch", batchHandler(node, maxBody))
+}
+
 // componentsResponse is the JSON body of a successful labelling, with
 // its routing provenance: the shard owner of the graph and the member
 // that served it (both 0 on a standalone server).
@@ -244,8 +257,10 @@ type componentsResponse struct {
 }
 
 // parseComponents decodes a POST /v1/components request (query knobs +
-// graph body) into a service request. On failure it writes the error
-// response and reports ok = false.
+// graph body) into a service request. The body is parsed straight into
+// the edge list; a vertex count above -max-vertices is refused by the
+// service at admission (413), not by the parser. On failure it writes
+// the error response and reports ok = false.
 func parseComponents(w http.ResponseWriter, r *http.Request, maxBody int64, chaos bool) (service.Request, bool) {
 	q := r.URL.Query()
 	engineName := q.Get("engine")
@@ -273,14 +288,14 @@ func parseComponents(w http.ResponseWriter, r *http.Request, maxBody int64, chao
 		reqInj = fault.New(cfg)
 	}
 
-	g, err := graph.Read(http.MaxBytesReader(w, r.Body, maxBody), q.Get("format"))
+	g, err := sparse.Read(http.MaxBytesReader(w, r.Body, maxBody), q.Get("format"))
 	if err != nil {
 		writeError(w, bodyStatus(err), err)
 		return service.Request{}, false
 	}
 
 	return service.Request{
-		Graph:   g,
+		Edges:   g,
 		Engine:  eng,
 		NoCache: q.Get("nocache") == "1" || reqInj != nil,
 		Fault:   reqInj,

@@ -6,16 +6,17 @@ import (
 	"time"
 
 	"gcacc"
-	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 // BatchItem is one job inside a batch. Items are independent: each
 // carries its own engine, timeout and cache policy, and each succeeds
 // or fails on its own — a batch is never all-or-nothing.
 type BatchItem struct {
-	// Graph is the item's input.
-	Graph *graph.Graph
+	// Edges is the item's input graph as an edge list (see
+	// service.Request.Edges).
+	Edges *sparse.Graph
 	// Engine selects the implementation (default EngineGCA).
 	Engine gcacc.Engine
 	// Timeout bounds this item's compute (<= 0 inherits the service
@@ -28,7 +29,7 @@ type BatchItem struct {
 	// could not parse this item's graph). The item short-circuits to a
 	// failed outcome without consuming compute; its siblings proceed.
 	Err error
-	// FP is Graph.Fingerprint() once SubmitBatch has routed the item
+	// FP is Edges.Fingerprint() once SubmitBatch has routed the item
 	// (zero before); it reaches service.Request.FP so the service does
 	// not rehash. Like the request field, peer batches do not carry it.
 	FP [32]byte
@@ -90,11 +91,11 @@ func (n *Node) SubmitBatch(ctx context.Context, items []BatchItem) ([]ItemOutcom
 			out[i] = ItemOutcome{Err: it.Err}
 			continue
 		}
-		if it.Graph == nil {
+		if it.Edges == nil {
 			out[i] = ItemOutcome{Err: service.ErrNilGraph}
 			continue
 		}
-		fp := it.Graph.Fingerprint()
+		fp := it.Edges.Fingerprint()
 		items[i].FP = fp
 		if !it.NoCache {
 			k := batchKey{fp: fp, engine: it.Engine}
@@ -216,7 +217,7 @@ func (n *Node) runItem(ctx context.Context, it BatchItem) (*service.Result, erro
 		ictx, cancel = context.WithTimeout(ctx, it.Timeout)
 		defer cancel()
 	}
-	return n.svc.Submit(ictx, service.Request{Graph: it.Graph, Engine: it.Engine, NoCache: it.NoCache, FP: it.FP})
+	return n.svc.Submit(ictx, service.Request{Edges: it.Edges, Engine: it.Engine, NoCache: it.NoCache, FP: it.FP})
 }
 
 // peerBatch ships a pre-routed sub-batch to its owner as one peer call.

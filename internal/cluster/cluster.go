@@ -244,9 +244,10 @@ func (n *Node) Self() int { return n.cfg.Self }
 func (n *Node) Owner(fp [32]byte) int { return n.ring.Owner(fp) }
 
 // OwnerOf returns the shard owner of req's graph. On a multi-member
-// ring it hashes through req.Fingerprint, so the key rides along in req
-// and no later layer rehashes; a one-member ring owns every key and
-// hashes nothing here.
+// ring it hashes through req.Fingerprint, which first converts a dense
+// req.Graph into req.Edges, so the edge list and its key ride along in
+// req and no later layer converts or rehashes; a one-member ring owns
+// every key and touches nothing here.
 func (n *Node) OwnerOf(req *service.Request) int {
 	if len(n.cfg.Members) == 1 {
 		return n.cfg.Self
@@ -298,7 +299,7 @@ func (n *Node) Submit(ctx context.Context, req service.Request) (*Result, error)
 		return nil, ErrNodeDown
 	}
 	n.metrics.submitted.Inc()
-	if req.Graph == nil {
+	if req.EdgeList() == nil {
 		return nil, service.ErrNilGraph
 	}
 	owner := n.OwnerOf(&req)

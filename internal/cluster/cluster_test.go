@@ -13,6 +13,7 @@ import (
 	"gcacc"
 	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 // testTopology builds an in-process topology that is torn down with the
@@ -359,7 +360,7 @@ func TestHTTPPeerTransport(t *testing.T) {
 	}
 
 	// Batch over HTTP.
-	items := []BatchItem{{Graph: graph.Path(6)}, {Graph: graph.Star(7)}}
+	items := []BatchItem{{Edges: sparse.FromDense(graph.Path(6))}, {Edges: sparse.FromDense(graph.Star(7))}}
 	outs, err := peer.ComputeBatch(context.Background(), items)
 	if err != nil {
 		t.Fatalf("ComputeBatch: %v", err)
@@ -368,7 +369,7 @@ func TestHTTPPeerTransport(t *testing.T) {
 		if oc.Err != nil {
 			t.Fatalf("item %d: %v", i, oc.Err)
 		}
-		if !labelsEq(oc.Result.Labels, wantLabels(items[i].Graph)) {
+		if !labelsEq(oc.Result.Labels, sparse.ConnectedComponentsUnionFind(items[i].Edges)) {
 			t.Fatalf("item %d labels mismatch", i)
 		}
 	}
@@ -463,7 +464,7 @@ func TestSuppliedFingerprintIsNotRehashed(t *testing.T) {
 
 	peer := top.Nodes[1]
 	check("owner sub-batch", peer.Service(), [32]byte{2}, func(req service.Request) (*service.Result, error) {
-		oc := peer.localBatch(ctx, []BatchItem{{Graph: req.Graph, Engine: req.Engine, FP: req.FP}})[0]
+		oc := peer.localBatch(ctx, []BatchItem{{Edges: req.EdgeList(), Engine: req.Engine, FP: req.FP}})[0]
 		if oc.Err != nil {
 			return nil, oc.Err
 		}
@@ -504,8 +505,8 @@ func TestStatusOf(t *testing.T) {
 }
 
 func TestWireItemRoundTrip(t *testing.T) {
-	g := graph.Star(9)
-	wi, err := EncodeWireItem(BatchItem{Graph: g, Engine: gcacc.EnginePRAM, NoCache: true})
+	g := sparse.FromDense(graph.Star(9))
+	wi, err := EncodeWireItem(BatchItem{Edges: g, Engine: gcacc.EnginePRAM, NoCache: true})
 	if err != nil {
 		t.Fatalf("EncodeWireItem: %v", err)
 	}
@@ -513,7 +514,7 @@ func TestWireItemRoundTrip(t *testing.T) {
 	if it.Err != nil {
 		t.Fatalf("DecodeWireItem: %v", it.Err)
 	}
-	if !it.Graph.Equal(g) || it.Engine != gcacc.EnginePRAM || !it.NoCache {
+	if !it.Edges.Equal(g) || it.Engine != gcacc.EnginePRAM || !it.NoCache {
 		t.Fatalf("round trip = %+v", it)
 	}
 

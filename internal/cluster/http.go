@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"gcacc"
-	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 // OwnerHeader is set on every cluster-routed response so clients and
@@ -147,12 +147,12 @@ func DecodeWireItem(it WireItem) BatchItem {
 		}
 		out.Engine = eng
 	}
-	g, err := graph.Read(strings.NewReader(it.Graph), it.Format)
+	g, err := sparse.Read(strings.NewReader(it.Graph), it.Format)
 	if err != nil {
 		out.Err = &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 		return out
 	}
-	out.Graph = g
+	out.Edges = g
 	return out
 }
 
@@ -160,7 +160,7 @@ func DecodeWireItem(it WireItem) BatchItem {
 // edge-list format; a BatchItem built by the node has a parsed graph).
 func EncodeWireItem(it BatchItem) (WireItem, error) {
 	var buf bytes.Buffer
-	if err := graph.WriteEdgeList(&buf, it.Graph); err != nil {
+	if err := sparse.WriteEdgeStream(&buf, it.Edges); err != nil {
 		return WireItem{}, err
 	}
 	return WireItem{
@@ -253,13 +253,13 @@ func RegisterPeerHandlers(mux *http.ServeMux, n *Node, maxBody int64) {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		g, err := graph.ReadEdgeList(http.MaxBytesReader(w, r.Body, maxBody))
+		g, err := sparse.ReadEdgeStream(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 		res, err := n.svc.Submit(r.Context(), service.Request{
-			Graph:   g,
+			Edges:   g,
 			Engine:  eng,
 			NoCache: r.URL.Query().Get("nocache") == "1",
 		})
@@ -380,7 +380,7 @@ func NewHTTPPeer(base string, client *http.Client) *HTTPPeer {
 // Compute implements Peer.
 func (p *HTTPPeer) Compute(ctx context.Context, req service.Request) (*service.Result, error) {
 	var buf bytes.Buffer
-	if err := graph.WriteEdgeList(&buf, req.Graph); err != nil {
+	if err := sparse.WriteEdgeStream(&buf, req.EdgeList()); err != nil {
 		return nil, err
 	}
 	url := fmt.Sprintf("%s/internal/v1/compute?engine=%s", p.base, req.Engine)

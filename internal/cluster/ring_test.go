@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gcacc/internal/graph"
+	"gcacc/internal/sparse"
 )
 
 // syntheticFP derives the i-th deterministic fingerprint of the test
@@ -22,10 +23,12 @@ func syntheticFP(i int) [32]byte {
 }
 
 // TestRingGoldenPlacement pins the placement of corpus-style graphs on
-// the canonical 4-member ring. These values are part of the wire
-// contract: a replica that computes them differently would route
-// traffic to the wrong shard, so any change here is a breaking change
-// to cluster deployments.
+// the canonical 4-member ring, keyed by the canonical edge-list
+// fingerprint — the same owner whether the graph is held dense or as
+// an edge list. These values are part of the wire contract: a replica
+// that computes them differently would route traffic to the wrong
+// shard, so any change here is a breaking change to cluster
+// deployments.
 func TestRingGoldenPlacement(t *testing.T) {
 	ring := NewRing([]int{0, 1, 2, 3}, DefaultVNodes)
 	cases := []struct {
@@ -35,20 +38,23 @@ func TestRingGoldenPlacement(t *testing.T) {
 	}{
 		{"path-8", graph.Path(8), 1},
 		{"path-100", graph.Path(100), 0},
-		{"cycle-12", graph.Cycle(12), 0},
-		{"star-16", graph.Star(16), 1},
-		{"complete-9", graph.Complete(9), 1},
-		{"grid-6x7", graph.Grid(6, 7), 2},
-		{"bipartite-5x8", graph.CompleteBipartite(5, 8), 3},
-		{"hypercube-5", graph.Hypercube(5), 1},
-		{"cliques-4x6", graph.DisjointCliques(4, 6), 1},
-		{"tree-31", graph.BinaryTree(31), 0},
-		{"chain-20", graph.MatchingChain(20), 2},
+		{"cycle-12", graph.Cycle(12), 2},
+		{"star-16", graph.Star(16), 2},
+		{"complete-9", graph.Complete(9), 0},
+		{"grid-6x7", graph.Grid(6, 7), 3},
+		{"bipartite-5x8", graph.CompleteBipartite(5, 8), 1},
+		{"hypercube-5", graph.Hypercube(5), 2},
+		{"cliques-4x6", graph.DisjointCliques(4, 6), 2},
+		{"tree-31", graph.BinaryTree(31), 1},
+		{"chain-20", graph.MatchingChain(20), 0},
 		{"empty-10", graph.Empty(10), 1},
 	}
 	for _, tc := range cases {
 		if got := ring.Owner(tc.g.Fingerprint()); got != tc.owner {
 			t.Errorf("%s: owner = %d, want pinned %d", tc.name, got, tc.owner)
+		}
+		if got := ring.Owner(sparse.FromDense(tc.g).Fingerprint()); got != tc.owner {
+			t.Errorf("%s: edge-list owner = %d, want pinned %d", tc.name, got, tc.owner)
 		}
 	}
 }

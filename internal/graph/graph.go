@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -36,13 +37,7 @@ func (g *Graph) N() int { return g.n }
 // M returns the number of edges.
 func (g *Graph) M() int {
 	m := 0
-	for i := 0; i < g.n; i++ {
-		for j := i + 1; j < g.n; j++ {
-			if g.adj.Get(i, j) {
-				m++
-			}
-		}
-	}
+	g.upperTriangle(func(_, _ int, w uint64) { m += bits.OnesCount64(w) })
 	return m
 }
 

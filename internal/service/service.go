@@ -12,11 +12,11 @@
 // everything beyond the queue bound is rejected at admission rather than
 // degrading everyone (the HTTP layer maps that rejection to 429).
 //
-// Requests are content-addressed: the cache key is the SHA-256
-// fingerprint of the adjacency bit-matrix plus the engine. Identical
-// concurrent requests are coalesced onto one computation — every engine
-// is deterministic, so one result serves them all, and a key is filled
-// at most once per residency.
+// Requests are content-addressed: the cache key is the canonical
+// edge-list fingerprint of the graph (graph.EdgeListHash) plus the
+// engine. Identical concurrent requests are coalesced onto one
+// computation — every engine is deterministic, so one result serves
+// them all, and a key is filled at most once per residency.
 //
 // The resilience layer (opt-in via Config) handles engine runs that
 // fail transiently: bounded retry with exponential backoff and
@@ -42,6 +42,7 @@ import (
 	"gcacc"
 	"gcacc/internal/fault"
 	"gcacc/internal/graph"
+	"gcacc/internal/sparse"
 )
 
 // Admission errors. The HTTP layer maps these onto status codes
@@ -93,14 +94,15 @@ type Config struct {
 	// a longer (or no) deadline are clamped to now+MaxTimeout. 0 means no
 	// cap.
 	MaxTimeout time.Duration
-	// MaxVertices rejects larger graphs at admission (the dense
-	// representation costs n² bits); <= 0 selects graph.MaxParseVertices.
+	// MaxVertices rejects larger graphs at admission; <= 0 selects
+	// graph.MaxParseVertices.
 	MaxVertices int
 	// DenseCutoff rejects dense-only engines (see gcacc.Engine.Sparse)
 	// for graphs above this vertex count with ErrDenseOnly — a clear 422
 	// instead of the OOM-shaped timeout a (n+1)×n cell field at n ≫ 4096
-	// would produce. 0 selects gcacc.DenseCutoff; negative disables the
-	// guardrail.
+	// would produce. The edge list is densified only up to
+	// gcacc.DenseCutoff, so 0, a negative value or a larger one selects
+	// gcacc.DenseCutoff; a smaller value tightens the guardrail.
 	DenseCutoff int
 	// ExpvarName, if non-empty, publishes the Stats snapshot under this
 	// expvar key. Publish once per process: expvar panics on duplicates.
@@ -141,8 +143,18 @@ type Config struct {
 
 // Request is one unit of admitted work.
 type Request struct {
-	// Graph is the input; it must not be mutated while the request is in
-	// flight (the fingerprint taken at admission addresses the result).
+	// Edges is the input graph as an edge list, the one representation
+	// the serving layer works on: its fingerprint is the cache key, and
+	// dense-only engines densify it at run time (see
+	// gcacc.ConnectedComponentsSparse). It must not be mutated while the
+	// request is in flight; a canonical edge list (as ReadEdgeStream,
+	// FromDense and Fingerprint leave it) is only read, so replicas and
+	// retries may share it.
+	Edges *sparse.Graph
+	// Graph is a dense input for in-process callers that hold one.
+	// EdgeList converts it into Edges once with sparse.FromDense and
+	// clears it; Submit and cluster.Node.OwnerOf call EdgeList on entry,
+	// so no layer below them reads Graph. Ignored when Edges is set.
 	Graph *graph.Graph
 	// Engine selects the implementation (default EngineGCA).
 	Engine gcacc.Engine
@@ -152,12 +164,23 @@ type Request struct {
 	// Fault, if non-nil, overrides Config.Fault for this request — the
 	// HTTP layer's opt-in chaos mode threads per-request schedules here.
 	Fault *fault.Injector
-	// FP is Graph.Fingerprint() when a layer above has already hashed
-	// the graph (routing needs it before the service does); the zero
+	// FP is the graph's fingerprint when a layer above has already
+	// hashed it (routing needs it before the service does); the zero
 	// value means "not yet computed". Only in-process callers set it;
 	// peer compute and batch calls do not carry it, so an owner reached
 	// over HTTP keys the result by the graph it parsed.
 	FP [32]byte
+}
+
+// EdgeList returns the request's input as an edge list, converting a
+// dense Graph input into Edges on first use (and clearing Graph). It
+// returns nil when the request carries no graph.
+func (r *Request) EdgeList() *sparse.Graph {
+	if r.Edges == nil && r.Graph != nil {
+		r.Edges = sparse.FromDense(r.Graph)
+	}
+	r.Graph = nil
+	return r.Edges
 }
 
 // Fingerprint returns the graph's fingerprint, hashing it only when FP
@@ -165,7 +188,7 @@ type Request struct {
 // after this call carries its key and no layer below rehashes it.
 func (r *Request) Fingerprint() [32]byte {
 	if r.FP == ([32]byte{}) {
-		r.FP = r.Graph.Fingerprint()
+		r.FP = r.EdgeList().Fingerprint()
 	}
 	return r.FP
 }
@@ -269,7 +292,7 @@ func New(cfg Config) *Service {
 	if cfg.MaxVertices <= 0 {
 		cfg.MaxVertices = graph.MaxParseVertices
 	}
-	if cfg.DenseCutoff == 0 {
+	if cfg.DenseCutoff <= 0 || cfg.DenseCutoff > gcacc.DenseCutoff {
 		cfg.DenseCutoff = gcacc.DenseCutoff
 	}
 	if cfg.Clock == nil {
@@ -326,7 +349,8 @@ func (s *Service) Config() Config { return s.cfg }
 // inadmissible requests.
 func (s *Service) Submit(ctx context.Context, req Request) (*Result, error) {
 	s.metrics.submitted.Inc()
-	if req.Graph == nil {
+	g := req.EdgeList()
+	if g == nil {
 		s.metrics.rejectedInvalid.Inc()
 		return nil, ErrNilGraph
 	}
@@ -334,14 +358,14 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Result, error) {
 		s.metrics.rejectedInvalid.Inc()
 		return nil, fmt.Errorf("%w: %d", ErrInvalidEngine, int(req.Engine))
 	}
-	if req.Graph.N() > s.cfg.MaxVertices {
+	if g.N() > s.cfg.MaxVertices {
 		s.metrics.rejectedInvalid.Inc()
-		return nil, fmt.Errorf("%w: %d vertices, cap %d", ErrTooLarge, req.Graph.N(), s.cfg.MaxVertices)
+		return nil, fmt.Errorf("%w: %d vertices, cap %d", ErrTooLarge, g.N(), s.cfg.MaxVertices)
 	}
-	if s.cfg.DenseCutoff > 0 && !req.Engine.Sparse() && req.Graph.N() > s.cfg.DenseCutoff {
+	if !req.Engine.Sparse() && g.N() > s.cfg.DenseCutoff {
 		s.metrics.rejectedInvalid.Inc()
 		return nil, fmt.Errorf("%w: engine %q cannot process %d vertices (dense cutoff %d); use a sparse-capable engine (e.g. liutarjan, logdiameter, sequential)",
-			ErrDenseOnly, req.Engine, req.Graph.N(), s.cfg.DenseCutoff)
+			ErrDenseOnly, req.Engine, g.N(), s.cfg.DenseCutoff)
 	}
 	if err := ctx.Err(); err != nil {
 		// A zero-budget deadline is rejected here, before the queue: it
@@ -567,7 +591,7 @@ func (s *Service) attempt(jb *job, engine gcacc.Engine, degraded bool, wait time
 		opts.Fault = inj
 	}
 	start := s.clock.Now()
-	rep, err := gcacc.ConnectedComponentsWithContext(jb.ctx, jb.req.Graph, opts)
+	rep, err := gcacc.ConnectedComponentsSparse(jb.ctx, jb.req.Edges, opts)
 	run := s.clock.Now().Sub(start)
 	if err != nil {
 		return nil, err

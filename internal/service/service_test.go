@@ -244,13 +244,20 @@ func TestAdmissionDenseCutoff(t *testing.T) {
 		t.Errorf("dense engine at cutoff: %v", err)
 	}
 
-	// The default cutoff is gcacc.DenseCutoff; a negative value disables
-	// the guardrail entirely.
+	// The default cutoff is gcacc.DenseCutoff; a negative value selects
+	// it too, so a dense engine runs on any graph up to it.
 	def := New(Config{})
 	if got := def.Config().DenseCutoff; got != gcacc.DenseCutoff {
 		t.Errorf("default DenseCutoff = %d, want %d", got, gcacc.DenseCutoff)
 	}
 	def.Close()
+	for _, c := range []int{-1, gcacc.DenseCutoff + 1} {
+		s := New(Config{DenseCutoff: c})
+		if got := s.Config().DenseCutoff; got != gcacc.DenseCutoff {
+			t.Errorf("DenseCutoff %d resolves to %d, want %d: the edge list is never densified above it", c, got, gcacc.DenseCutoff)
+		}
+		s.Close()
+	}
 	off := New(Config{MaxVertices: 64, DenseCutoff: -1})
 	defer off.Close()
 	if _, err := off.Submit(ctx, Request{Graph: big, Engine: gcacc.EngineNCell}); err != nil {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+
+	"gcacc/internal/graph"
 )
 
 // The streaming edge-list parser accepts the same "edges" text format as
@@ -88,6 +90,26 @@ func ReadEdgeStream(r io.Reader) (*Graph, error) {
 	g.canon = false
 	g.canonicalise()
 	return g, nil
+}
+
+// Read parses r in the named text format: "edges" (also the empty
+// string, the default everywhere a format is optional) streams through
+// ReadEdgeStream; "matrix" is parsed by graph.ReadMatrix, whose cap of
+// graph.MaxParseVertices rows bounds the n² adjacency it builds, and
+// converted once with FromDense. Any other name is an error.
+func Read(r io.Reader, format string) (*Graph, error) {
+	switch format {
+	case "", "edges":
+		return ReadEdgeStream(r)
+	case "matrix":
+		d, err := graph.ReadMatrix(r)
+		if err != nil {
+			return nil, err
+		}
+		return FromDense(d), nil
+	default:
+		return nil, fmt.Errorf("sparse: unknown format %q (edges|matrix)", format)
+	}
 }
 
 // WriteEdgeStream writes g in "edges" format (canonical order), using

@@ -24,10 +24,9 @@
 package sparse
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gcacc/internal/graph"
 )
@@ -129,11 +128,11 @@ func (g *Graph) canonicalise() {
 	if g.canon {
 		return
 	}
-	sort.Slice(g.edges, func(i, j int) bool {
-		if g.edges[i].U != g.edges[j].U {
-			return g.edges[i].U < g.edges[j].U
+	slices.SortFunc(g.edges, func(a, b Edge) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		return g.edges[i].V < g.edges[j].V
+		return cmp.Compare(a.V, b.V)
 	})
 	out := g.edges[:0]
 	for i, e := range g.edges {
@@ -196,30 +195,18 @@ func (g *Graph) Equal(h *Graph) bool {
 	return true
 }
 
-// Fingerprint returns a canonical content hash: SHA-256 over the vertex
-// count, edge count and the canonical edge list. Two sparse graphs have
-// equal fingerprints iff they have the same vertex count and edge set,
-// independent of insertion order. The domain is deliberately distinct
-// from the dense graph.Fingerprint (which hashes the adjacency matrix):
-// a sparse key can never collide with a dense key in a shared cache.
+// Fingerprint returns the canonical edge-list fingerprint defined in
+// internal/graph (graph.EdgeListHash): SHA-256 over the vertex count,
+// the edge count and the canonical edge list. It equals the fingerprint
+// of the same graph in the dense representation, so the serving layer
+// keys and places a graph the same way whichever format it arrived in.
 func (g *Graph) Fingerprint() [32]byte {
 	g.canonicalise()
-	h := sha256.New()
-	var buf [8]byte
-	buf[0] = 's' // domain separator vs the dense fingerprint
-	h.Write(buf[:1])
-	binary.LittleEndian.PutUint64(buf[:], uint64(g.n))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(g.edges)))
-	h.Write(buf[:])
+	h := graph.NewEdgeListHash(g.n, len(g.edges))
 	for _, e := range g.edges {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(e.U))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(e.V))
-		h.Write(buf[:])
+		h.Add(e.U, e.V)
 	}
-	var sum [32]byte
-	h.Sum(sum[:0])
-	return sum
+	return h.Sum()
 }
 
 // FromDense converts a dense graph to the sparse representation. The

@@ -9,6 +9,7 @@ import (
 	"gcacc/internal/cluster"
 	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 // ClusterOptions configures the cluster conformance harness: the shared
@@ -82,11 +83,15 @@ func RunCluster(opt ClusterOptions) (*Report, error) {
 	cases := Corpus(opt.N, opt.Seed)
 	rep := &Report{N: opt.N, Seed: opt.Seed, Families: Families(cases), Cases: len(cases)}
 
-	// Single-process reference labellings, shared by every topology.
+	// Single-process reference labellings, shared by every topology. The
+	// cluster receives each case as the edge list a parsed request body
+	// yields.
 	truth := make([][]int, len(cases))
+	edges := make([]*sparse.Graph, len(cases))
 	reference := make(map[gcacc.Engine][][]int, len(engines))
 	for ci, c := range cases {
 		truth[ci] = graph.ConnectedComponentsUnionFind(c.Graph)
+		edges[ci] = sparse.FromDense(c.Graph)
 		rep.Checks++
 		if !graph.IsValidComponentLabelling(c.Graph, truth[ci]) {
 			rep.Failures = append(rep.Failures, Failure{
@@ -109,7 +114,7 @@ func RunCluster(opt ClusterOptions) (*Report, error) {
 
 	sort.Ints(replicas)
 	for _, r := range replicas {
-		if err := runClusterTopology(opt, r, engines, cases, truth, reference, rep); err != nil {
+		if err := runClusterTopology(opt, r, engines, cases, edges, truth, reference, rep); err != nil {
 			return nil, err
 		}
 	}
@@ -117,7 +122,7 @@ func RunCluster(opt ClusterOptions) (*Report, error) {
 }
 
 // runClusterTopology conforms one R-replica topology.
-func runClusterTopology(opt ClusterOptions, r int, engines []gcacc.Engine, cases []Case,
+func runClusterTopology(opt ClusterOptions, r int, engines []gcacc.Engine, cases []Case, edges []*sparse.Graph,
 	truth [][]int, reference map[gcacc.Engine][][]int, rep *Report) error {
 	top, err := cluster.NewInProcessTopology(r, service.Config{
 		Workers:     2,
@@ -149,12 +154,12 @@ func runClusterTopology(opt ClusterOptions, r int, engines []gcacc.Engine, cases
 				}
 			}
 
-			wantOwner := top.Nodes[0].Owner(c.Graph.Fingerprint())
+			wantOwner := top.Nodes[0].Owner(edges[ci].Fingerprint())
 			// Every replica is an entry point — for R > 1 most of them do
 			// not own the key, so the request must survive being sent to
 			// the wrong shard.
 			for _, node := range top.Nodes {
-				res, err := node.Submit(ctx, service.Request{Graph: c.Graph, Engine: e})
+				res, err := node.Submit(ctx, service.Request{Edges: edges[ci], Engine: e})
 				if err != nil {
 					check(false, "cluster/submit", "entry node %d: %v", node.Self(), err)
 					continue
@@ -188,10 +193,10 @@ func runClusterTopology(opt ClusterOptions, r int, engines []gcacc.Engine, cases
 	// Batch path: the whole corpus as one batch through replica 0, plus a
 	// duplicate of case 0 to pin in-batch coalescing.
 	items := make([]cluster.BatchItem, 0, len(cases)+1)
-	for _, c := range cases {
-		items = append(items, cluster.BatchItem{Graph: c.Graph})
+	for _, g := range edges {
+		items = append(items, cluster.BatchItem{Edges: g})
 	}
-	items = append(items, cluster.BatchItem{Graph: cases[0].Graph})
+	items = append(items, cluster.BatchItem{Edges: edges[0]})
 	outs, err := top.Nodes[0].SubmitBatch(ctx, items)
 	if err != nil {
 		return fmt.Errorf("verify: %s batch: %w", path, err)
