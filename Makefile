@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race lint lint-gcasm fmt-check check verify chaos-smoke stream-smoke cluster-smoke bench-selftest fuzz-smoke bench bench-json bench-smoke serve
+.PHONY: all build vet test test-race lint lint-gcasm fmt-check check verify chaos-smoke stream-smoke cluster-smoke bench-selftest fuzz-smoke bench bench-json bench-smoke serve loc
 
 all: check
 
@@ -126,3 +126,9 @@ bench-smoke:
 
 serve:
 	$(GO) run ./cmd/gca-serve
+
+# Non-test Go lines of the committed tree, excluding the perfbench/
+# benchmark module: the before/after figure that simplification changes
+# report.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^perfbench/' | xargs cat | wc -l

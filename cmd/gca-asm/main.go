@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gcacc/internal/core"
 	"gcacc/internal/gca"
 	"gcacc/internal/gcasm"
 	"gcacc/internal/gcasm/check"
@@ -94,15 +95,7 @@ func main() {
 			fatal(err)
 		}
 		nn := g.N()
-		field := gca.NewField(nn * (nn + 1))
-		adj := g.Adjacency()
-		for j := 0; j < nn; j++ {
-			for i := 0; i < nn; i++ {
-				if adj.Get(j, i) {
-					field.SetCell(j*nn+i, gca.Cell{A: 1})
-				}
-			}
-		}
+		field := core.NewProgramField(g)
 		res, err := prog.Run(gcasm.RunConfig{N: nn, Field: field, CollectStats: *stats})
 		if err != nil {
 			fatal(err)

@@ -8,7 +8,7 @@ package main
 // SubmitBatch — the one-ticket batch path — and reports per-item cost
 // against the single-request baseline. The report always splits clean
 // vs degraded latency and breaks p50/p99 down per shard owner, plus the
-// peer-traffic and cache-federation counters the topology accumulated.
+// peer-traffic and cache counters the topology accumulated.
 
 import (
 	"context"
@@ -30,8 +30,7 @@ import (
 // topoOptions carries the multi-replica run's knobs out of main.
 type topoOptions struct {
 	replicas    int
-	mode        string // proxy | federate
-	batch       int    // items per SubmitBatch call (0 = single requests)
+	batch       int // items per SubmitBatch call (0 = single requests)
 	engine      gcacc.Engine
 	concurrency int
 	total       int
@@ -50,7 +49,6 @@ type topoWorkerStats struct {
 	clean, deg []time.Duration
 	byShard    map[int][]time.Duration
 	ok, failed int
-	peerHits   int
 	fallbacks  int
 }
 
@@ -62,9 +60,6 @@ func (st *topoWorkerStats) observe(res *cluster.Result, err error, lat time.Dura
 		return
 	}
 	st.ok++
-	if res.PeerCacheHit {
-		st.peerHits++
-	}
 	if res.FallbackLocal {
 		st.fallbacks++
 	}
@@ -79,10 +74,6 @@ func (st *topoWorkerStats) observe(res *cluster.Result, err error, lat time.Dura
 // runTopology drives the in-process topology and returns the bench
 // points to append to a trajectory file (nil when none were measured).
 func runTopology(o topoOptions) ([]benchPoint, error) {
-	mode, err := cluster.ParseMode(o.mode)
-	if err != nil {
-		return nil, err
-	}
 	var inj *fault.Injector
 	retries := 0
 	if o.faultSpec != "" {
@@ -102,7 +93,7 @@ func runTopology(o topoOptions) ([]benchPoint, error) {
 		Seed:               o.seed,
 		RetryMax:           retries,
 		FallbackSequential: o.faultSpec != "",
-	}, cluster.Config{Mode: mode, Fault: inj})
+	}, cluster.Config{Fault: inj})
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +168,7 @@ func runTopology(o topoOptions) ([]benchPoint, error) {
 
 	var clean, deg []time.Duration
 	byShard := map[int][]time.Duration{}
-	ok, failed, peerHits, fallbacks := 0, 0, 0, 0
+	ok, failed, fallbacks := 0, 0, 0
 	for i := range stats {
 		clean = append(clean, stats[i].clean...)
 		deg = append(deg, stats[i].deg...)
@@ -186,7 +177,6 @@ func runTopology(o topoOptions) ([]benchPoint, error) {
 		}
 		ok += stats[i].ok
 		failed += stats[i].failed
-		peerHits += stats[i].peerHits
 		fallbacks += stats[i].fallbacks
 	}
 
@@ -194,8 +184,8 @@ func runTopology(o topoOptions) ([]benchPoint, error) {
 	if o.batch > 0 {
 		kind = fmt.Sprintf("batch%d", o.batch)
 	}
-	fmt.Printf("# loadgen replicas=%d mode=%s %s engine=%s vertices=%d p=%.3f distinct=%d c=%d nocache=%v fault=%q\n",
-		o.replicas, o.mode, kind, o.engine, o.vertices, o.prob, o.distinct, o.concurrency, o.nocache, o.faultSpec)
+	fmt.Printf("# loadgen replicas=%d %s engine=%s vertices=%d p=%.3f distinct=%d c=%d nocache=%v fault=%q\n",
+		o.replicas, kind, o.engine, o.vertices, o.prob, o.distinct, o.concurrency, o.nocache, o.faultSpec)
 	fmt.Printf("items=%d ok=%d failed=%d elapsed=%.2fs throughput=%.1f items/s\n",
 		ok+failed, ok, failed, elapsed.Seconds(), float64(ok)/elapsed.Seconds())
 	label := "latency(clean)"
@@ -217,8 +207,8 @@ func runTopology(o topoOptions) ([]benchPoint, error) {
 			s, len(lats), quantile(lats, 0.50), quantile(lats, 0.99))
 	}
 
-	// Cluster-wide view: routing volume, peer traffic, federation and
-	// cache effectiveness per replica and aggregated.
+	// Cluster-wide view: routing volume, peer traffic and cache
+	// effectiveness per replica and aggregated.
 	var agg cluster.Stats
 	var hits, misses int64
 	for i, cs := range top.Stats() {
@@ -228,8 +218,6 @@ func runTopology(o topoOptions) ([]benchPoint, error) {
 		agg.PeerCalls += cs.PeerCalls
 		agg.PeerErrors += cs.PeerErrors
 		agg.PeerServed += cs.PeerServed
-		agg.PeerCacheHits += cs.PeerCacheHits
-		agg.PeerCacheMisses += cs.PeerCacheMisses
 		agg.FallbackLocal += cs.FallbackLocal
 		ss := top.Nodes[i].Service().Stats()
 		hits += ss.CacheHits
@@ -241,15 +229,16 @@ func runTopology(o topoOptions) ([]benchPoint, error) {
 	}
 	fmt.Printf("cluster: routed=%d proxied=%d coalesced=%d peer_calls=%d peer_errors=%d peer_served=%d fallback_local=%d\n",
 		agg.RoutedRemote, agg.Proxied, agg.Coalesced, agg.PeerCalls, agg.PeerErrors, agg.PeerServed, agg.FallbackLocal)
-	fmt.Printf("cluster: cache hit ratio=%.3f (hits=%d misses=%d) peer_cache hits=%d misses=%d; client: peer_cache_hits=%d fallbacks=%d\n",
-		ratio, hits, misses, agg.PeerCacheHits, agg.PeerCacheMisses, peerHits, fallbacks)
+	fmt.Printf("cluster: cache hit ratio=%.3f (hits=%d misses=%d); client: fallbacks=%d\n",
+		ratio, hits, misses, fallbacks)
 
 	if len(clean) == 0 {
 		return nil, nil
 	}
 	sort.Slice(clean, func(i, j int) bool { return clean[i] < clean[j] })
 	bp := benchPoint{
-		Name:       fmt.Sprintf("Loadgen/cluster/r=%d/%s/%s", o.replicas, o.mode, kind),
+		// "proxy" stays in the name so points line up with earlier ones.
+		Name:       fmt.Sprintf("Loadgen/cluster/r=%d/proxy/%s", o.replicas, kind),
 		Pkg:        "gcacc/cmd/gca-loadgen",
 		Iterations: int64(len(clean)),
 		NsPerOp:    float64(quantile(clean, 0.50).Nanoseconds()),

@@ -21,10 +21,10 @@
 //
 // With -replicas R the tool instead builds an in-process cluster of R
 // replicas (the same topology the conformance tier verifies) and drives
-// it directly — no server process needed. -topology picks the routing
-// mode (proxy|federate), -batch N pushes items through the one-ticket
-// batch path N at a time, and the report adds per-shard latency plus
-// the peer-traffic, federation and cache-hit-ratio counters:
+// it directly — no server process needed. Non-owner replicas proxy to
+// the shard owner, -batch N pushes items through the one-ticket batch
+// path N at a time, and the report adds per-shard latency plus the
+// peer-traffic and cache-hit-ratio counters:
 //
 //	gca-loadgen -replicas 3 -n 3000 -nocache            # single-request baseline
 //	gca-loadgen -replicas 3 -n 3000 -nocache -batch 32  # batch path, p50 is per item
@@ -75,7 +75,6 @@ func main() {
 		faultSpec   = flag.String("fault", "", "per-request fault schedule forwarded to the server (needs gca-serve -chaos), e.g. seed=7,steperr=0.01")
 
 		replicas = flag.Int("replicas", 0, "drive an in-process cluster of this many replicas instead of -addr (0 = HTTP mode)")
-		topology = flag.String("topology", "proxy", "in-process cluster routing mode: proxy|federate")
 		batch    = flag.Int("batch", 0, "submit items in batches of this size through the batch path (0 = single requests; in-process mode only)")
 		jsonOut  = flag.String("json", "", "append the run's numbers to this trajectory file (gca-benchjson format)")
 		label    = flag.String("label", "loadgen", "trajectory point label for -json")
@@ -93,7 +92,6 @@ func main() {
 	if *replicas > 0 {
 		points, err := runTopology(topoOptions{
 			replicas:    *replicas,
-			mode:        *topology,
 			batch:       *batch,
 			engine:      eng,
 			concurrency: *concurrency,
@@ -304,10 +302,8 @@ func main() {
 					st.Faults.StepErrors, st.Faults.StepDelays, st.Faults.WorkerStalls, st.Faults.Runs)
 			}
 			if cs := payload.Cluster; cs != nil && len(cs.Members) > 1 {
-				fmt.Printf("server: cluster self=%d/%d routed=%d proxied=%d peer_calls=%d peer_errors=%d "+
-					"peer_cache hits=%d misses=%d fallback_local=%d\n",
-					cs.Self, len(cs.Members), cs.RoutedRemote, cs.Proxied, cs.PeerCalls, cs.PeerErrors,
-					cs.PeerCacheHits, cs.PeerCacheMisses, cs.FallbackLocal)
+				fmt.Printf("server: cluster self=%d/%d routed=%d proxied=%d peer_calls=%d peer_errors=%d fallback_local=%d\n",
+					cs.Self, len(cs.Members), cs.RoutedRemote, cs.Proxied, cs.PeerCalls, cs.PeerErrors, cs.FallbackLocal)
 			}
 		}
 	}

@@ -3,9 +3,9 @@ package main
 // The sharded serving tier of gca-serve: N replicas form a static peer
 // ring (-peers, -self; without -peers a one-member ring), single
 // requests route to their shard owner by consistent hashing on the
-// graph fingerprint (proxy, redirect or cache-federate per
-// -cluster-mode), and POST /v1/components/batch admits many graphs
-// under one queue ticket, splitting them across owners.
+// graph fingerprint (a non-owner proxies to the owner), and POST
+// /v1/components/batch admits many graphs under one queue ticket,
+// splitting them across owners.
 // internal/cluster holds the routing machinery; this file is the HTTP
 // skin.
 
@@ -35,23 +35,16 @@ type clusterFlags struct {
 
 // buildCluster turns the flags into a wired node. Standalone (-peers
 // empty) yields a single-member ring: batch admission still works, and
-// every key is owned locally. redirect reports whether non-owned single
-// requests should answer 307 instead of proxying.
-func buildCluster(svc *service.Service, f clusterFlags) (node *cluster.Node, peerURLs []string, redirect bool, err error) {
-	mode := cluster.ModeProxy
-	switch f.mode {
-	case "redirect":
-		// The node still proxies batches; only single requests redirect.
-		redirect = true
-	default:
-		mode, err = cluster.ParseMode(f.mode)
-		if err != nil {
-			return nil, nil, false, err
-		}
+// every key is owned locally. -cluster-mode accepts only proxy, the one
+// routing mode.
+func buildCluster(svc *service.Service, f clusterFlags) (*cluster.Node, error) {
+	if !strings.EqualFold(strings.TrimSpace(f.mode), "proxy") {
+		return nil, fmt.Errorf("-cluster-mode %q: proxy is the only mode", f.mode)
 	}
 
 	members := []int{0}
 	self := 0
+	var peerURLs []string
 	if f.peersCSV != "" {
 		for _, u := range strings.Split(f.peersCSV, ",") {
 			peerURLs = append(peerURLs, strings.TrimRight(strings.TrimSpace(u), "/"))
@@ -61,22 +54,21 @@ func buildCluster(svc *service.Service, f clusterFlags) (node *cluster.Node, pee
 			members[i] = i
 		}
 		if f.self < 0 || f.self >= len(peerURLs) {
-			return nil, nil, false, fmt.Errorf("-self %d outside -peers range [0,%d)", f.self, len(peerURLs))
+			return nil, fmt.Errorf("-self %d outside -peers range [0,%d)", f.self, len(peerURLs))
 		}
 		self = f.self
 	}
 
-	node, err = cluster.NewNode(svc, cluster.Config{
+	node, err := cluster.NewNode(svc, cluster.Config{
 		Self:          self,
 		Members:       members,
 		VNodes:        f.vnodes,
-		Mode:          mode,
 		PeerBudget:    f.peerBudget,
 		BatchTickets:  f.batchTickets,
 		MaxBatchItems: f.batchItems,
 	})
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
 	if len(peerURLs) > 1 {
 		peers := make(map[int]cluster.Peer, len(peerURLs)-1)
@@ -86,20 +78,18 @@ func buildCluster(svc *service.Service, f clusterFlags) (node *cluster.Node, pee
 			}
 		}
 		node.SetPeers(peers)
-		log.Printf("gca-serve: cluster member %d of %d (%s mode, peer budget %s)",
-			self, len(peerURLs), f.mode, node.Config().PeerBudget)
+		log.Printf("gca-serve: cluster member %d of %d (proxy mode, peer budget %s)",
+			self, len(peerURLs), node.Config().PeerBudget)
 	}
-	return node, peerURLs, redirect, nil
+	return node, nil
 }
 
 // clusterComponentsHandler serves POST /v1/components on every
 // deployment; a standalone server is a one-member ring. The request
 // routes to its shard owner, and every response carries
-// X-GCA-Shard-Owner. In redirect mode a non-owned request answers 307 to
-// the owner's URL instead of proxying (the body travels again — 307
-// preserves method and body). The graph is hashed at most once here:
-// OwnerOf leaves the fingerprint in req for Submit and the service.
-func clusterComponentsHandler(node *cluster.Node, peerURLs []string, redirect bool, maxBody int64, chaos bool) http.HandlerFunc {
+// X-GCA-Shard-Owner. The graph is hashed at most once here: OwnerOf
+// leaves the fingerprint in req for Submit and the service.
+func clusterComponentsHandler(node *cluster.Node, maxBody int64, chaos bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		req, ok := parseComponents(w, r, maxBody, chaos)
 		if !ok {
@@ -107,14 +97,6 @@ func clusterComponentsHandler(node *cluster.Node, peerURLs []string, redirect bo
 		}
 		owner := node.OwnerOf(&req)
 		w.Header().Set(cluster.OwnerHeader, strconv.Itoa(owner))
-		if redirect && owner != node.Self() && owner < len(peerURLs) {
-			loc := peerURLs[owner] + "/v1/components"
-			if r.URL.RawQuery != "" {
-				loc += "?" + r.URL.RawQuery
-			}
-			http.Redirect(w, r, loc, http.StatusTemporaryRedirect)
-			return
-		}
 		res, err := node.Submit(r.Context(), req)
 		if err != nil {
 			writeError(w, cluster.StatusOf(err), err)
@@ -135,7 +117,6 @@ func clusterComponentsHandler(node *cluster.Node, peerURLs []string, redirect bo
 			Owner:         res.Owner,
 			Served:        res.Served,
 			Proxied:       res.Proxied,
-			PeerCacheHit:  res.PeerCacheHit,
 			FallbackLocal: res.FallbackLocal,
 		}
 		if r.URL.Query().Get("labels") != "0" {

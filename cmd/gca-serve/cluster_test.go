@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,20 +19,20 @@ import (
 )
 
 // Cluster-handler tests: the batch endpoint's per-item status contract
-// (a batch is never all-or-nothing), the shard-owner header, redirect
-// mode, and the merged stats shape. Handlers are exercised directly, as
-// in main_test.go — no listener, no real peers.
+// (a batch is never all-or-nothing), the shard-owner header, the
+// -cluster-mode check, and the merged stats shape. Handlers are
+// exercised directly, as in main_test.go — no listener, no real peers.
 
 // newStandaloneNode wires a single-member cluster node around svc, the
 // same shape `gca-serve` runs without -peers.
 func newStandaloneNode(t *testing.T, svc *service.Service) *cluster.Node {
 	t.Helper()
-	node, peerURLs, redirect, err := buildCluster(svc, clusterFlags{mode: "proxy"})
+	node, err := buildCluster(svc, clusterFlags{mode: "proxy"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(peerURLs) != 0 || redirect {
-		t.Fatalf("standalone buildCluster: peerURLs=%v redirect=%v", peerURLs, redirect)
+	if m := node.Config().Members; len(m) != 1 || m[0] != 0 {
+		t.Fatalf("standalone buildCluster: members=%v, want [0]", m)
 	}
 	return node
 }
@@ -231,7 +232,7 @@ func TestBatchHandlerLabelsToggle(t *testing.T) {
 func TestClusterHandlerOwnerHeader(t *testing.T) {
 	svc := newTestService(t)
 	node := newStandaloneNode(t, svc)
-	h := clusterComponentsHandler(node, nil, false, 1<<20, false)
+	h := clusterComponentsHandler(node, 1<<20, false)
 
 	w := postComponents(t, h, "", "4 2\n0 1\n2 3\n")
 	if w.Code != http.StatusOK {
@@ -253,6 +254,38 @@ func TestClusterHandlerOwnerHeader(t *testing.T) {
 	}
 }
 
+// TestClusterHandlerOwnerHeaderTwoMembers: on a two-member ring the
+// header names the owner of each key. Member 1's URL refuses
+// connections, so its keys take the local fallback on member 0.
+func TestClusterHandlerOwnerHeaderTwoMembers(t *testing.T) {
+	svc := newTestService(t)
+	node, err := buildCluster(svc, clusterFlags{
+		peersCSV: "http://127.0.0.1:18090,http://127.0.0.1:1",
+		self:     0,
+		mode:     "proxy",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := clusterComponentsHandler(node, 1<<20, false)
+	for _, member := range []int{0, 1} {
+		w := postComponents(t, h, "?labels=0", edgeList(t, graphOwnedByMember(t, node, member)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("member %d key: status = %d (body %q), want 200", member, w.Code, w.Body.String())
+		}
+		if got, want := w.Header().Get(cluster.OwnerHeader), strconv.Itoa(member); got != want {
+			t.Errorf("member %d key: %s = %q, want %q", member, cluster.OwnerHeader, got, want)
+		}
+		var resp componentsResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Owner != member || resp.Served != 0 || resp.FallbackLocal != (member == 1) {
+			t.Errorf("member %d key: owner=%d served=%d fallback_local=%v", member, resp.Owner, resp.Served, resp.FallbackLocal)
+		}
+	}
+}
+
 // graphOwnedByMember searches small path graphs for one the ring places
 // on the wanted member.
 func graphOwnedByMember(t *testing.T, node *cluster.Node, member int) *graph.Graph {
@@ -265,47 +298,6 @@ func graphOwnedByMember(t *testing.T, node *cluster.Node, member int) *graph.Gra
 	}
 	t.Fatalf("no small path graph owned by member %d", member)
 	return nil
-}
-
-// TestClusterHandlerRedirect: in redirect mode a non-owned request
-// answers 307 to the owner's public URL (query preserved, owner header
-// set), while an owned request computes locally.
-func TestClusterHandlerRedirect(t *testing.T) {
-	svc := newTestService(t)
-	node, peerURLs, redirect, err := buildCluster(svc, clusterFlags{
-		peersCSV: "http://replica-a:8080,http://replica-b:8080/",
-		self:     0,
-		mode:     "redirect",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !redirect || len(peerURLs) != 2 {
-		t.Fatalf("redirect=%v peerURLs=%v", redirect, peerURLs)
-	}
-	h := clusterComponentsHandler(node, peerURLs, redirect, 1<<20, false)
-
-	remote := graphOwnedByMember(t, node, 1)
-	w := postComponents(t, h, "?labels=0&engine=sequential", edgeList(t, remote))
-	if w.Code != http.StatusTemporaryRedirect {
-		t.Fatalf("non-owned request: status = %d (body %q), want 307", w.Code, w.Body.String())
-	}
-	wantLoc := "http://replica-b:8080/v1/components?labels=0&engine=sequential"
-	if got := w.Header().Get("Location"); got != wantLoc {
-		t.Errorf("Location = %q, want %q", got, wantLoc)
-	}
-	if got := w.Header().Get(cluster.OwnerHeader); got != "1" {
-		t.Errorf("%s = %q, want \"1\"", cluster.OwnerHeader, got)
-	}
-
-	local := graphOwnedByMember(t, node, 0)
-	w = postComponents(t, h, "", edgeList(t, local))
-	if w.Code != http.StatusOK {
-		t.Fatalf("owned request: status = %d (body %q), want 200", w.Code, w.Body.String())
-	}
-	if got := w.Header().Get(cluster.OwnerHeader); got != "0" {
-		t.Errorf("%s = %q, want \"0\"", cluster.OwnerHeader, got)
-	}
 }
 
 // TestStatsResponseShape: /v1/stats keeps the flat service fields
@@ -342,10 +334,18 @@ func TestStatsResponseShape(t *testing.T) {
 
 func TestBuildClusterValidation(t *testing.T) {
 	svc := newTestService(t)
-	if _, _, _, err := buildCluster(svc, clusterFlags{mode: "nonsense"}); err == nil {
-		t.Error("bad -cluster-mode accepted")
+	for _, mode := range []string{"nonsense", "federate", "redirect", ""} {
+		_, err := buildCluster(svc, clusterFlags{mode: mode})
+		if err == nil {
+			t.Errorf("-cluster-mode %q accepted", mode)
+		} else if !strings.Contains(err.Error(), "proxy") {
+			t.Errorf("-cluster-mode %q: error %q does not name proxy", mode, err)
+		}
 	}
-	if _, _, _, err := buildCluster(svc, clusterFlags{
+	if _, err := buildCluster(svc, clusterFlags{mode: " Proxy "}); err != nil {
+		t.Errorf("-cluster-mode \" Proxy \" rejected: %v", err)
+	}
+	if _, err := buildCluster(svc, clusterFlags{
 		peersCSV: "http://a,http://b", self: 2, mode: "proxy",
 	}); err == nil {
 		t.Error("-self outside -peers range accepted")

@@ -107,7 +107,7 @@ func main() {
 
 		peersCSV     = flag.String("peers", "", "comma-separated peer base URLs forming the static ring, index = member id (empty = standalone)")
 		selfIdx      = flag.Int("self", 0, "this replica's index in -peers")
-		clusterMode  = flag.String("cluster-mode", "proxy", "non-owner handling for cluster requests: proxy|redirect|federate")
+		clusterMode  = flag.String("cluster-mode", "proxy", "non-owner handling for cluster requests: proxy (the only mode)")
 		peerBudget   = flag.Duration("peer-budget", 100*time.Millisecond, "deadline per peer call before degrading to local compute")
 		vnodes       = flag.Int("vnodes", 0, "virtual nodes per ring member (0 = default)")
 		batchItems   = flag.Int("batch-items", 256, "largest accepted /v1/components/batch item count")
@@ -145,7 +145,7 @@ func main() {
 		DegradeDepth:       *degradeDepth,
 	})
 
-	node, peerURLs, redirect, err := buildCluster(svc, clusterFlags{
+	node, err := buildCluster(svc, clusterFlags{
 		peersCSV:     *peersCSV,
 		self:         *selfIdx,
 		mode:         *clusterMode,
@@ -163,7 +163,7 @@ func main() {
 	// header, and peers reach this replica's queue, cache and batch
 	// runner on /internal/v1.
 	mux := http.NewServeMux()
-	registerComponents(mux, node, peerURLs, redirect, *maxBody, *chaos)
+	registerComponents(mux, node, *maxBody, *chaos)
 	expvar.Publish("gcacc_cluster", expvar.Func(func() any { return node.Stats() }))
 	if *streamGraphs > 0 {
 		eng, err := gcacc.ParseEngine(*streamEngine)
@@ -227,8 +227,8 @@ const defaultMaxBody = 64 << 20
 
 // registerComponents mounts the graph routes every deployment serves:
 // single and batch components requests, and the peer RPC surface.
-func registerComponents(mux *http.ServeMux, node *cluster.Node, peerURLs []string, redirect bool, maxBody int64, chaos bool) {
-	mux.HandleFunc("POST /v1/components", clusterComponentsHandler(node, peerURLs, redirect, maxBody, chaos))
+func registerComponents(mux *http.ServeMux, node *cluster.Node, maxBody int64, chaos bool) {
+	mux.HandleFunc("POST /v1/components", clusterComponentsHandler(node, maxBody, chaos))
 	cluster.RegisterPeerHandlers(mux, node, maxBody)
 	mux.HandleFunc("POST /v1/components/batch", batchHandler(node, maxBody))
 }
@@ -252,7 +252,6 @@ type componentsResponse struct {
 	Owner         int    `json:"owner"`
 	Served        int    `json:"served"`
 	Proxied       bool   `json:"proxied,omitempty"`
-	PeerCacheHit  bool   `json:"peer_cache_hit,omitempty"`
 	FallbackLocal bool   `json:"fallback_local,omitempty"`
 }
 

@@ -35,7 +35,7 @@ func newTestService(t *testing.T) *service.Service {
 // one-member ring — the shape a standalone gca-serve runs.
 func newComponentsHandler(t *testing.T, svc *service.Service, maxBody int64, chaos bool) http.HandlerFunc {
 	t.Helper()
-	return clusterComponentsHandler(newStandaloneNode(t, svc), nil, false, maxBody, chaos)
+	return clusterComponentsHandler(newStandaloneNode(t, svc), maxBody, chaos)
 }
 
 func postComponents(t *testing.T, h http.HandlerFunc, query, body string) *httptest.ResponseRecorder {

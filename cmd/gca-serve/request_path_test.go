@@ -26,12 +26,12 @@ import (
 // svc with the default body cap.
 func componentsMux(t testing.TB, svc *service.Service) *http.ServeMux {
 	t.Helper()
-	node, peerURLs, redirect, err := buildCluster(svc, clusterFlags{mode: "proxy"})
+	node, err := buildCluster(svc, clusterFlags{mode: "proxy"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	registerComponents(mux, node, peerURLs, redirect, defaultMaxBody, false)
+	registerComponents(mux, node, defaultMaxBody, false)
 	return mux
 }
 

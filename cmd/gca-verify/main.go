@@ -40,7 +40,7 @@
 // placement, and the batch path conformed item for item:
 //
 //	gca-verify -cluster-replicas 1,2,4 -format text
-//	gca-verify -cluster-replicas 2 -cluster-mode federate -engines gca
+//	gca-verify -cluster-replicas 2 -engines gca
 package main
 
 import (
@@ -52,7 +52,6 @@ import (
 	"strings"
 
 	"gcacc"
-	"gcacc/internal/cluster"
 	"gcacc/internal/verify"
 )
 
@@ -72,7 +71,6 @@ func main() {
 		noVariants  = flag.Bool("no-variants", false, "sparse harness: skip the per-variant Liu–Tarjan runs")
 		streamN     = flag.Int("stream-n", 0, "run the stream harness at this vertex budget instead (mutation traces vs union-find oracle)")
 		clusterCSV  = flag.String("cluster-replicas", "", "run the cluster harness instead over these comma-separated replica counts (e.g. 1,2,4)")
-		clusterMode = flag.String("cluster-mode", "proxy", "cluster harness routing mode: proxy|federate")
 	)
 	flag.Parse()
 
@@ -86,12 +84,6 @@ func main() {
 			}
 			opt.Replicas = append(opt.Replicas, r)
 		}
-		mode, err := cluster.ParseMode(*clusterMode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gca-verify:", err)
-			os.Exit(2)
-		}
-		opt.Mode = mode
 		if *enginesCSV != "" {
 			for _, name := range strings.Split(*enginesCSV, ",") {
 				e, err := gcacc.ParseEngine(strings.TrimSpace(name))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,46 +33,16 @@ var (
 	ErrBatchBusy = errors.New("cluster: batch admission tickets exhausted")
 )
 
-// Mode selects how a non-owner replica handles a request it does not
-// own. (HTTP redirect is a third option implemented by the serving
-// layer on top of Owner; the node itself either proxies or federates.)
+// Mode names how a replica handles a key it does not own. Proxy is the
+// one mode; the type stays so configurations that name it keep
+// compiling.
 type Mode int
 
-const (
-	// ModeProxy forwards the whole request to the shard owner: the
-	// owner's admission queue, cache and in-flight coalescing serve it,
-	// so one replica's cache is authoritative per key and identical
-	// concurrent requests cluster-wide collapse onto one computation.
-	ModeProxy Mode = iota
-	// ModeFederate asks only the shard owner's cache; on a miss the
-	// replica computes locally and offers the result back to the owner,
-	// so the owner's cache converges without shipping every compute.
-	ModeFederate
-)
-
-// String names the mode in the -cluster-mode flag vocabulary.
-func (m Mode) String() string {
-	switch m {
-	case ModeProxy:
-		return "proxy"
-	case ModeFederate:
-		return "federate"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
-// ParseMode parses the -cluster-mode vocabulary ("proxy" | "federate").
-func ParseMode(s string) (Mode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "proxy":
-		return ModeProxy, nil
-	case "federate":
-		return ModeFederate, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown mode %q (proxy|federate)", s)
-	}
-}
+// ModeProxy forwards the whole request to the shard owner: the owner's
+// admission queue, cache and in-flight coalescing serve it, so one
+// replica's cache is authoritative per key and identical concurrent
+// requests cluster-wide collapse onto one computation.
+const ModeProxy Mode = 0
 
 // Config describes one replica's view of the static peer ring.
 type Config struct {
@@ -86,7 +55,8 @@ type Config struct {
 	// VNodes is the virtual-node count per member (<= 0 selects
 	// DefaultVNodes).
 	VNodes int
-	// Mode selects proxy or federate routing for non-owned keys.
+	// Mode is the routing of non-owned keys; ModeProxy (the zero
+	// value) is the only one NewNode accepts.
 	Mode Mode
 	// PeerBudget bounds every peer call: a peer that does not answer
 	// within the budget is treated as dead and the request degrades to
@@ -118,14 +88,11 @@ type Result struct {
 	// Owner is the shard owner of the request's fingerprint.
 	Owner int `json:"owner"`
 	// Served is the member whose service produced (or cache-served) the
-	// labels: the owner when proxied or federated-hit, Self otherwise.
+	// labels: the owner when proxied, Self otherwise.
 	Served int `json:"served"`
 	// Proxied reports the request was computed at the owner via a peer
 	// call.
 	Proxied bool `json:"proxied,omitempty"`
-	// PeerCacheHit reports the result came from the owner's federated
-	// cache.
-	PeerCacheHit bool `json:"peer_cache_hit,omitempty"`
 	// FallbackLocal reports the owner was unreachable (dead peer, budget
 	// exceeded, injected fault) and the request degraded to local
 	// compute — the documented failure mode of a static ring.
@@ -141,12 +108,6 @@ type Peer interface {
 	// Compute runs one request at the peer (its queue, cache and
 	// coalescing included).
 	Compute(ctx context.Context, req service.Request) (*service.Result, error)
-	// CacheGet probes the peer's result cache; ok reports a hit. An
-	// error means the peer was unreachable, not that the key is absent.
-	CacheGet(ctx context.Context, fp [32]byte, engine gcacc.Engine) (res *service.Result, ok bool, err error)
-	// CachePut offers an externally computed result to the peer's cache
-	// (best effort; the peer may refuse).
-	CachePut(ctx context.Context, fp [32]byte, engine gcacc.Engine, res *service.Result) error
 	// ComputeBatch runs a pre-routed sub-batch locally at the peer and
 	// returns one outcome per item, in order.
 	ComputeBatch(ctx context.Context, items []BatchItem) ([]ItemOutcome, error)
@@ -154,7 +115,7 @@ type Peer interface {
 
 // peerFlight is one in-progress non-owner computation; concurrent
 // identical requests on this replica join it instead of issuing
-// duplicate peer calls (single-flight across the federation path).
+// duplicate peer calls (single-flight across the proxy path).
 type peerFlight struct {
 	done chan struct{}
 	res  *Result
@@ -207,6 +168,9 @@ func NewNode(svc *service.Service, cfg Config) (*Node, error) {
 	}
 	if !found {
 		return nil, fmt.Errorf("cluster: self id %d not in members %v", cfg.Self, cfg.Members)
+	}
+	if cfg.Mode != ModeProxy {
+		return nil, fmt.Errorf("cluster: unknown mode %d (proxy is the only mode)", cfg.Mode)
 	}
 	if cfg.PeerBudget <= 0 {
 		cfg.PeerBudget = 100 * time.Millisecond
@@ -290,10 +254,10 @@ func (n *Node) Start() { n.down.Store(false) }
 func (n *Node) Stopped() bool { return n.down.Load() }
 
 // Submit routes one request: the owner shard serves keys it owns from
-// its own queue/cache; non-owned keys are proxied or federated per
-// Config.Mode, with single-flight coalescing and local-compute fallback
-// when the owner is unreachable within the peer budget. A request whose
-// FP the caller already filled is not hashed again.
+// its own queue/cache; non-owned keys are proxied to the owner, with
+// single-flight coalescing and local-compute fallback when the owner is
+// unreachable within the peer budget. A request whose FP the caller
+// already filled is not hashed again.
 func (n *Node) Submit(ctx context.Context, req service.Request) (*Result, error) {
 	if n.down.Load() {
 		return nil, ErrNodeDown
@@ -313,14 +277,13 @@ func (n *Node) Submit(ctx context.Context, req service.Request) (*Result, error)
 	}
 
 	n.metrics.routedRemote.Inc()
-	fp := req.Fingerprint() // already computed by OwnerOf
 	// Single-flight the whole non-owner path: concurrent identical
 	// requests on this replica issue one peer call / one local compute
 	// between them. NoCache requests opt out, same as in the service.
 	if req.NoCache {
-		return n.remoteSubmit(ctx, owner, fp, req)
+		return n.remoteSubmit(ctx, owner, req)
 	}
-	key := flightKey{fp: fp, engine: req.Engine}
+	key := flightKey{fp: req.Fingerprint(), engine: req.Engine} // hashed by OwnerOf
 	n.mu.Lock()
 	if fl, ok := n.flights[key]; ok {
 		n.mu.Unlock()
@@ -331,7 +294,7 @@ func (n *Node) Submit(ctx context.Context, req service.Request) (*Result, error)
 	n.flights[key] = fl
 	n.mu.Unlock()
 
-	res, err := n.remoteSubmit(ctx, owner, fp, req)
+	res, err := n.remoteSubmit(ctx, owner, req)
 	n.mu.Lock()
 	delete(n.flights, key)
 	n.mu.Unlock()
@@ -362,59 +325,24 @@ func awaitFlight(ctx context.Context, fl *peerFlight) (*Result, error) {
 	return &cp, nil
 }
 
-// remoteSubmit handles a key owned by another member: proxy or
-// federate, then fall back to local compute when the owner cannot be
-// reached inside the peer budget. The caller's own context always
-// wins — an expired caller is never "helped" with a local run.
-func (n *Node) remoteSubmit(ctx context.Context, owner int, fp [32]byte, req service.Request) (*Result, error) {
-	out := &Result{Owner: owner, Served: n.cfg.Self}
-	switch n.cfg.Mode {
-	case ModeProxy:
-		res, err := n.peerCompute(ctx, owner, req)
-		if err == nil {
-			out.Result, out.Served, out.Proxied = res, owner, true
-			return out, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		n.metrics.fallbackLocal.Inc()
-		res, err = n.svc.Submit(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		out.Result, out.FallbackLocal = res, true
-		return out, nil
-
-	default: // ModeFederate
-		if !req.NoCache {
-			res, ok, err := n.peerCacheGet(ctx, owner, fp, req.Engine)
-			if err == nil && ok {
-				n.metrics.peerCacheHits.Inc()
-				out.Result, out.Served, out.PeerCacheHit = res, owner, true
-				return out, nil
-			}
-			if err == nil {
-				n.metrics.peerCacheMisses.Inc()
-			} else if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-		}
-		res, err := n.svc.Submit(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		out.Result = res
-		// Fill the owner's cache so its shard converges to authoritative
-		// coverage; best-effort under the same budget, never blocking the
-		// response correctness (the result is already in hand).
-		if !req.NoCache && !res.Cached && !res.Degraded {
-			if perr := n.peerCachePut(ctx, owner, fp, req.Engine, res); perr == nil {
-				n.metrics.cacheOffers.Inc()
-			}
-		}
-		return out, nil
+// remoteSubmit handles a key owned by another member: proxy it, then
+// fall back to local compute when the owner cannot be reached inside
+// the peer budget. The caller's own context always wins — an expired
+// caller is never "helped" with a local run.
+func (n *Node) remoteSubmit(ctx context.Context, owner int, req service.Request) (*Result, error) {
+	res, err := n.peerCompute(ctx, owner, req)
+	if err == nil {
+		return &Result{Result: res, Owner: owner, Served: owner, Proxied: true}, nil
 	}
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
+	n.metrics.fallbackLocal.Inc()
+	res, err = n.svc.Submit(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Result: res, Owner: owner, Served: n.cfg.Self, FallbackLocal: true}, nil
 }
 
 // beforePeerCall applies the injected fault schedule and accounts the
@@ -452,48 +380,6 @@ func (n *Node) peerCompute(ctx context.Context, member int, req service.Request)
 	return res, nil
 }
 
-// peerCacheGet probes a member's cache under the peer budget.
-func (n *Node) peerCacheGet(ctx context.Context, member int, fp [32]byte, engine gcacc.Engine) (*service.Result, bool, error) {
-	p := n.peer(member)
-	if p == nil {
-		n.metrics.peerCalls.Inc()
-		n.metrics.peerErrors.Inc()
-		return nil, false, fmt.Errorf("%w: member %d has no wired peer", ErrPeerDown, member)
-	}
-	if err := n.beforePeerCall(ctx); err != nil {
-		return nil, false, err
-	}
-	pctx, cancel := context.WithTimeout(ctx, n.cfg.PeerBudget)
-	defer cancel()
-	res, ok, err := p.CacheGet(pctx, fp, engine)
-	if err != nil {
-		n.metrics.peerErrors.Inc()
-		return nil, false, err
-	}
-	return res, ok, nil
-}
-
-// peerCachePut offers a result to a member's cache under the peer
-// budget.
-func (n *Node) peerCachePut(ctx context.Context, member int, fp [32]byte, engine gcacc.Engine, res *service.Result) error {
-	p := n.peer(member)
-	if p == nil {
-		n.metrics.peerCalls.Inc()
-		n.metrics.peerErrors.Inc()
-		return fmt.Errorf("%w: member %d has no wired peer", ErrPeerDown, member)
-	}
-	if err := n.beforePeerCall(ctx); err != nil {
-		return err
-	}
-	pctx, cancel := context.WithTimeout(ctx, n.cfg.PeerBudget)
-	defer cancel()
-	if err := p.CachePut(pctx, fp, engine, res); err != nil {
-		n.metrics.peerErrors.Inc()
-		return err
-	}
-	return nil
-}
-
 // LocalPeer is the in-process transport: a Peer that calls another Node
 // in the same process directly. It refuses when the target is stopped,
 // modelling a dead process — the conformance and chaos tiers run whole
@@ -510,26 +396,6 @@ func (p *LocalPeer) Compute(ctx context.Context, req service.Request) (*service.
 	}
 	p.target.metrics.peerServed.Inc()
 	return p.target.svc.Submit(ctx, req)
-}
-
-// CacheGet implements Peer.
-func (p *LocalPeer) CacheGet(_ context.Context, fp [32]byte, engine gcacc.Engine) (*service.Result, bool, error) {
-	if p.target.Stopped() {
-		return nil, false, ErrPeerDown
-	}
-	p.target.metrics.peerServed.Inc()
-	res, ok := p.target.svc.CacheLookup(fp, engine)
-	return res, ok, nil
-}
-
-// CachePut implements Peer.
-func (p *LocalPeer) CachePut(_ context.Context, fp [32]byte, engine gcacc.Engine, res *service.Result) error {
-	if p.target.Stopped() {
-		return ErrPeerDown
-	}
-	p.target.metrics.peerServed.Inc()
-	p.target.svc.CacheInsert(fp, engine, res)
-	return nil
 }
 
 // ComputeBatch implements Peer.

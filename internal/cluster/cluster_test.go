@@ -70,34 +70,15 @@ func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(nil, Config{Self: 0}); err == nil {
 		t.Fatal("nil service: want error")
 	}
+	if _, err := NewNode(svc, Config{Mode: ModeProxy + 1}); err == nil {
+		t.Fatal("mode other than proxy: want error")
+	}
 	n, err := NewNode(svc, Config{Self: 3})
 	if err != nil {
 		t.Fatalf("singleton node: %v", err)
 	}
 	if got := n.Config().Members; len(got) != 1 || got[0] != 3 {
 		t.Fatalf("singleton members = %v, want [3]", got)
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Mode
-		ok   bool
-	}{
-		{"proxy", ModeProxy, true},
-		{"federate", ModeFederate, true},
-		{" Proxy ", ModeProxy, true},
-		{"redirect", 0, false},
-		{"", 0, false},
-	} {
-		got, err := ParseMode(tc.in)
-		if tc.ok != (err == nil) || (tc.ok && got != tc.want) {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	if ModeProxy.String() != "proxy" || ModeFederate.String() != "federate" {
-		t.Fatal("Mode.String mismatch")
 	}
 }
 
@@ -204,66 +185,6 @@ func TestSubmitOnStoppedNode(t *testing.T) {
 	}
 }
 
-func TestFederateCacheFillbackAndHit(t *testing.T) {
-	top := testTopology(t, 3, ModeProxy)
-	for _, n := range top.Nodes {
-		n.cfg.Mode = ModeFederate
-	}
-	owner := 2
-	g := graphOwnedBy(t, top, owner)
-
-	// First request via replica 0: owner cache miss, local compute,
-	// fill-back offer to the owner.
-	res, err := top.Nodes[0].Submit(context.Background(), service.Request{Graph: g})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if res.PeerCacheHit || res.Served != 0 || res.Owner != owner {
-		t.Fatalf("first federated request provenance = %+v", res)
-	}
-	s0 := top.Nodes[0].Stats()
-	if s0.PeerCacheMisses != 1 || s0.CacheOffers != 1 {
-		t.Fatalf("node 0 stats = misses=%d offers=%d, want 1,1", s0.PeerCacheMisses, s0.CacheOffers)
-	}
-
-	// Second request via replica 1: the owner's cache now has it.
-	res, err = top.Nodes[1].Submit(context.Background(), service.Request{Graph: g})
-	if err != nil {
-		t.Fatalf("Submit via replica 1: %v", err)
-	}
-	if !res.PeerCacheHit || res.Served != owner || !res.Cached {
-		t.Fatalf("second federated request provenance = %+v", res)
-	}
-	if !labelsEq(res.Labels, wantLabels(g)) {
-		t.Fatal("federated cache hit labels differ from union-find truth")
-	}
-	if s1 := top.Nodes[1].Stats(); s1.PeerCacheHits != 1 {
-		t.Fatalf("node 1 peer_cache_hits = %d, want 1", s1.PeerCacheHits)
-	}
-}
-
-func TestFederateDeadOwnerDegradesToLocal(t *testing.T) {
-	top := testTopology(t, 2, ModeProxy)
-	for _, n := range top.Nodes {
-		n.cfg.Mode = ModeFederate
-	}
-	g := graphOwnedBy(t, top, 1)
-	top.Nodes[1].Stop()
-	res, err := top.Nodes[0].Submit(context.Background(), service.Request{Graph: g})
-	if err != nil {
-		t.Fatalf("federated Submit with dead owner: %v", err)
-	}
-	if res.PeerCacheHit || res.Served != 0 {
-		t.Fatalf("provenance = %+v, want local compute", res)
-	}
-	if !labelsEq(res.Labels, wantLabels(g)) {
-		t.Fatal("labels differ from union-find truth")
-	}
-	if s0 := top.Nodes[0].Stats(); s0.PeerErrors == 0 {
-		t.Fatal("peer_errors = 0, want > 0")
-	}
-}
-
 func TestNonOwnerSingleFlight(t *testing.T) {
 	top := testTopology(t, 2, ModeProxy)
 	g := graphOwnedBy(t, top, 1)
@@ -341,25 +262,8 @@ func TestHTTPPeerTransport(t *testing.T) {
 		t.Fatal("HTTP-proxied labels differ from union-find truth")
 	}
 
-	// Cache federation over HTTP: get (miss), put, get (hit).
-	peer := NewHTTPPeer(srvB.URL, srvB.Client())
-	fp := graph.Path(5).Fingerprint()
-	if _, ok, err := peer.CacheGet(context.Background(), fp, gcacc.EngineGCA); err != nil || ok {
-		t.Fatalf("CacheGet on empty cache = ok=%v err=%v", ok, err)
-	}
-	seed := &service.Result{Labels: []int{0, 0, 0, 0, 0}, Components: 1, Engine: "gca"}
-	if err := peer.CachePut(context.Background(), fp, gcacc.EngineGCA, seed); err != nil {
-		t.Fatalf("CachePut: %v", err)
-	}
-	got, ok, err := peer.CacheGet(context.Background(), fp, gcacc.EngineGCA)
-	if err != nil || !ok {
-		t.Fatalf("CacheGet after put = ok=%v err=%v", ok, err)
-	}
-	if !labelsEq(got.Labels, seed.Labels) || !got.Cached {
-		t.Fatalf("federated cache round-trip = %+v", got)
-	}
-
 	// Batch over HTTP.
+	peer := NewHTTPPeer(srvB.URL, srvB.Client())
 	items := []BatchItem{{Edges: sparse.FromDense(graph.Path(6))}, {Edges: sparse.FromDense(graph.Star(7))}}
 	outs, err := peer.ComputeBatch(context.Background(), items)
 	if err != nil {
@@ -418,11 +322,14 @@ func TestSuppliedFingerprintIsNotRehashed(t *testing.T) {
 					name, i, res.Cached, res.Components, wantCached)
 			}
 		}
-		if _, ok := svc.CacheLookup(fp, eng); !ok {
-			t.Errorf("%s: result not cached under the supplied key", name)
+		// Probe the service's cache directly: a repeat under the
+		// supplied key hits, one under the real fingerprint misses.
+		ctx := context.Background()
+		if res, err := svc.Submit(ctx, req); err != nil || !res.Cached {
+			t.Errorf("%s: result not cached under the supplied key (err %v)", name, err)
 		}
-		if _, ok := svc.CacheLookup(real, eng); ok {
-			t.Errorf("%s: result cached under a rehashed key", name)
+		if res, err := svc.Submit(ctx, service.Request{Graph: g, Engine: eng, FP: real}); err != nil || res.Cached {
+			t.Errorf("%s: result cached under a rehashed key (err %v)", name, err)
 		}
 	}
 	ctx := context.Background()
@@ -462,7 +369,8 @@ func TestSuppliedFingerprintIsNotRehashed(t *testing.T) {
 			})
 	}
 
-	peer := top.Nodes[1]
+	// A fresh topology: the probes above cached g under its real key.
+	peer := testTopology(t, 2, ModeProxy).Nodes[1]
 	check("owner sub-batch", peer.Service(), [32]byte{2}, func(req service.Request) (*service.Result, error) {
 		oc := peer.localBatch(ctx, []BatchItem{{Edges: req.EdgeList(), Engine: req.Engine, FP: req.FP}})[0]
 		if oc.Err != nil {

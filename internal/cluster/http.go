@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -108,7 +107,6 @@ type WireOutcome struct {
 	Owner         int    `json:"owner"`
 	Served        int    `json:"served"`
 	Proxied       bool   `json:"proxied,omitempty"`
-	PeerCacheHit  bool   `json:"peer_cache_hit,omitempty"`
 	FallbackLocal bool   `json:"fallback_local,omitempty"`
 
 	N           int    `json:"n,omitempty"`
@@ -183,7 +181,6 @@ func EncodeOutcome(oc ItemOutcome, withLabels bool) WireOutcome {
 		Owner:         r.Owner,
 		Served:        r.Served,
 		Proxied:       r.Proxied,
-		PeerCacheHit:  r.PeerCacheHit,
 		FallbackLocal: r.FallbackLocal,
 		N:             len(r.Labels),
 		Components:    r.Components,
@@ -226,7 +223,6 @@ func DecodeOutcome(w WireOutcome) ItemOutcome {
 		Owner:         w.Owner,
 		Served:        w.Served,
 		Proxied:       w.Proxied,
-		PeerCacheHit:  w.PeerCacheHit,
 		FallbackLocal: w.FallbackLocal,
 	}}
 }
@@ -234,8 +230,6 @@ func DecodeOutcome(w WireOutcome) ItemOutcome {
 // RegisterPeerHandlers mounts the peer-to-peer RPC surface on a mux:
 //
 //	POST /internal/v1/compute?engine=E&nocache=1   body: edge list
-//	GET  /internal/v1/cache/{fp}?engine=E          fp: 64 hex chars
-//	PUT  /internal/v1/cache/{fp}?engine=E          body: service.Result JSON
 //	POST /internal/v1/batch                        body: WireBatchRequest
 //
 // The handlers serve the local node directly (no re-routing, so a
@@ -268,45 +262,6 @@ func RegisterPeerHandlers(mux *http.ServeMux, n *Node, maxBody int64) {
 			return
 		}
 		httpJSON(w, http.StatusOK, res)
-	})
-
-	mux.HandleFunc("GET /internal/v1/cache/{fp}", func(w http.ResponseWriter, r *http.Request) {
-		if n.Stopped() {
-			httpError(w, http.StatusServiceUnavailable, ErrNodeDown)
-			return
-		}
-		n.metrics.peerServed.Inc()
-		fp, eng, err := parseCacheParams(r)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		res, ok := n.svc.CacheLookup(fp, eng)
-		if !ok {
-			httpError(w, http.StatusNotFound, errors.New("cluster: cache miss"))
-			return
-		}
-		httpJSON(w, http.StatusOK, res)
-	})
-
-	mux.HandleFunc("PUT /internal/v1/cache/{fp}", func(w http.ResponseWriter, r *http.Request) {
-		if n.Stopped() {
-			httpError(w, http.StatusServiceUnavailable, ErrNodeDown)
-			return
-		}
-		n.metrics.peerServed.Inc()
-		fp, eng, err := parseCacheParams(r)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		var res service.Result
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&res); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		n.svc.CacheInsert(fp, eng, &res)
-		w.WriteHeader(http.StatusNoContent)
 	})
 
 	mux.HandleFunc("POST /internal/v1/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -343,21 +298,6 @@ func parseEngineParam(r *http.Request) (gcacc.Engine, error) {
 	return gcacc.ParseEngine(name)
 }
 
-// parseCacheParams reads the {fp} path wildcard and ?engine=.
-func parseCacheParams(r *http.Request) ([32]byte, gcacc.Engine, error) {
-	var fp [32]byte
-	raw, err := hex.DecodeString(r.PathValue("fp"))
-	if err != nil || len(raw) != 32 {
-		return fp, 0, fmt.Errorf("cluster: fingerprint must be 64 hex chars")
-	}
-	copy(fp[:], raw)
-	eng, err := parseEngineParam(r)
-	if err != nil {
-		return fp, 0, err
-	}
-	return fp, eng, nil
-}
-
 // HTTPPeer is the HTTP transport: a Peer that calls another replica's
 // /internal/v1 surface. Any transport or non-2xx failure surfaces as an
 // error, which the calling node treats as a dead peer (fallback to
@@ -392,43 +332,10 @@ func (p *HTTPPeer) Compute(ctx context.Context, req service.Request) (*service.R
 		return nil, err
 	}
 	var res service.Result
-	if err := p.do(hreq, http.StatusOK, &res); err != nil {
+	if err := p.do(hreq, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
-}
-
-// CacheGet implements Peer.
-func (p *HTTPPeer) CacheGet(ctx context.Context, fp [32]byte, engine gcacc.Engine) (*service.Result, bool, error) {
-	url := fmt.Sprintf("%s/internal/v1/cache/%s?engine=%s", p.base, hex.EncodeToString(fp[:]), engine)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	var res service.Result
-	err = p.do(hreq, http.StatusOK, &res)
-	var se *StatusError
-	if errors.As(err, &se) && se.Code == http.StatusNotFound {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return &res, true, nil
-}
-
-// CachePut implements Peer.
-func (p *HTTPPeer) CachePut(ctx context.Context, fp [32]byte, engine gcacc.Engine, res *service.Result) error {
-	body, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	url := fmt.Sprintf("%s/internal/v1/cache/%s?engine=%s", p.base, hex.EncodeToString(fp[:]), engine)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	return p.do(hreq, http.StatusNoContent, nil)
 }
 
 // ComputeBatch implements Peer.
@@ -451,7 +358,7 @@ func (p *HTTPPeer) ComputeBatch(ctx context.Context, items []BatchItem) ([]ItemO
 		return nil, err
 	}
 	var resp WireBatchResponse
-	if err := p.do(hreq, http.StatusOK, &resp); err != nil {
+	if err := p.do(hreq, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Items) != len(items) {
@@ -464,23 +371,20 @@ func (p *HTTPPeer) ComputeBatch(ctx context.Context, items []BatchItem) ([]ItemO
 	return out, nil
 }
 
-// do runs one peer request, decoding into v on the wanted status and
-// into a StatusError otherwise.
-func (p *HTTPPeer) do(req *http.Request, want int, v any) error {
+// do runs one peer request, decoding a 200 answer into v and anything
+// else into a StatusError.
+func (p *HTTPPeer) do(req *http.Request, v any) error {
 	resp, err := p.client.Do(req)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrPeerDown, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != want {
+	if resp.StatusCode != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
 		}
 		_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e)
 		return &StatusError{Code: resp.StatusCode, Msg: e.Error}
-	}
-	if v == nil {
-		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		return fmt.Errorf("%w: decoding peer response: %v", ErrPeerDown, err)

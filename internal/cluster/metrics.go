@@ -5,7 +5,7 @@ import (
 	"gcacc/internal/metrics"
 )
 
-// nodeMetrics counts routing and federation events on one replica.
+// nodeMetrics counts routing events on one replica.
 // Everything is an exact integer behind an atomic (internal/metrics),
 // snapshotted by Stats for /v1/stats and the expvar surface.
 type nodeMetrics struct {
@@ -16,11 +16,8 @@ type nodeMetrics struct {
 	proxied       metrics.Counter // requests answered by the owner via peer Compute
 	fallbackLocal metrics.Counter // owner unreachable → computed locally
 
-	peerCalls       metrics.Counter // outgoing peer calls attempted (incl. refused)
-	peerErrors      metrics.Counter // outgoing peer calls that failed or were refused
-	peerCacheHits   metrics.Counter // federated probes answered from the owner's cache
-	peerCacheMisses metrics.Counter // federated probes the owner's cache missed
-	cacheOffers     metrics.Counter // results offered back to the owner's cache
+	peerCalls  metrics.Counter // outgoing peer calls attempted (incl. refused)
+	peerErrors metrics.Counter // outgoing peer calls that failed or were refused
 
 	peerServed  metrics.Counter // incoming peer calls served for other members
 	peerBatches metrics.Counter // incoming peer sub-batches served
@@ -34,10 +31,9 @@ type nodeMetrics struct {
 // Stats is one replica's routing snapshot, nested under the service
 // stats on /v1/stats and published as expvar gcacc_cluster.
 type Stats struct {
-	Self    int    `json:"self"`
-	Members []int  `json:"members"`
-	Mode    string `json:"mode"`
-	Down    bool   `json:"down,omitempty"`
+	Self    int   `json:"self"`
+	Members []int `json:"members"`
+	Down    bool  `json:"down,omitempty"`
 
 	Submitted     int64 `json:"submitted"`
 	OwnedLocal    int64 `json:"owned_local"`
@@ -46,11 +42,8 @@ type Stats struct {
 	Proxied       int64 `json:"proxied"`
 	FallbackLocal int64 `json:"fallback_local"`
 
-	PeerCalls       int64 `json:"peer_calls"`
-	PeerErrors      int64 `json:"peer_errors"`
-	PeerCacheHits   int64 `json:"peer_cache_hits"`
-	PeerCacheMisses int64 `json:"peer_cache_misses"`
-	CacheOffers     int64 `json:"cache_offers"`
+	PeerCalls  int64 `json:"peer_calls"`
+	PeerErrors int64 `json:"peer_errors"`
 
 	PeerServed  int64 `json:"peer_served"`
 	PeerBatches int64 `json:"peer_batches"`
@@ -70,7 +63,6 @@ func (n *Node) Stats() Stats {
 	s := Stats{
 		Self:    n.cfg.Self,
 		Members: append([]int(nil), n.cfg.Members...),
-		Mode:    n.cfg.Mode.String(),
 		Down:    n.down.Load(),
 
 		Submitted:     n.metrics.submitted.Value(),
@@ -80,11 +72,8 @@ func (n *Node) Stats() Stats {
 		Proxied:       n.metrics.proxied.Value(),
 		FallbackLocal: n.metrics.fallbackLocal.Value(),
 
-		PeerCalls:       n.metrics.peerCalls.Value(),
-		PeerErrors:      n.metrics.peerErrors.Value(),
-		PeerCacheHits:   n.metrics.peerCacheHits.Value(),
-		PeerCacheMisses: n.metrics.peerCacheMisses.Value(),
-		CacheOffers:     n.metrics.cacheOffers.Value(),
+		PeerCalls:  n.metrics.peerCalls.Value(),
+		PeerErrors: n.metrics.peerErrors.Value(),
 
 		PeerServed:  n.metrics.peerServed.Value(),
 		PeerBatches: n.metrics.peerBatches.Value(),

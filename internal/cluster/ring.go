@@ -1,23 +1,20 @@
 // Package cluster is the sharded serving tier: N gca-serve replicas
 // form a static peer ring, jobs route to a shard owner by consistent
-// hashing on the graph fingerprint, non-owner replicas proxy (or, at
-// the HTTP layer, redirect) to the owner, and result-cache lookups
-// federate — a replica asks the shard owner's cache before computing
-// locally, with single-flight coalescing and a bounded peer-call budget
-// so a dead peer degrades to local compute instead of failing the
-// request.
+// hashing on the graph fingerprint, and a non-owner replica proxies the
+// request to the owner, with single-flight coalescing and a bounded
+// peer-call budget so a dead peer degrades to local compute instead of
+// failing the request.
 //
 // The design transfers the paper's partitioning discipline one level
-// up: just as internal/mparch folds n² virtual cells onto p physical
-// processors by a fixed index map, the cluster folds the fingerprint
-// space onto R replicas by a fixed hash ring — ownership is a pure
-// function of (members, fingerprint), so every replica computes the
-// same routing table with no coordination, the way the Grappa
-// connected-components programs address their global hash set by key
-// rather than by location. Because every engine is deterministic and
-// conformance-verified (internal/verify), any replica can answer any
-// request: routing and federation change where a result is computed and
-// cached, never what it is. The cluster conformance tier
+// up: just as the GCA gives every cell a fixed index, the cluster folds
+// the fingerprint space onto R replicas by a fixed hash ring —
+// ownership is a pure function of (members, fingerprint), so every
+// replica computes the same routing table with no coordination, the way
+// the Grappa connected-components programs address their global hash
+// set by key rather than by location. Because every engine is
+// deterministic and conformance-verified (internal/verify), any replica
+// can answer any request: routing changes where a result is computed
+// and cached, never what it is. The cluster conformance tier
 // (verify.RunCluster) pins exactly that — a topology of N replicas,
 // including requests sent to deliberately wrong replicas, must be
 // bit-identical to one process.

@@ -72,10 +72,10 @@ func TestBenchSmokeFastPathBeatsGeneric(t *testing.T) {
 	const n = 256
 	g := graph.Gnp(n, 0.5, rand.New(rand.NewSource(2007)))
 	fast := medianRunTime(t, 3, func() error {
-		return stepSchedule(n, core.NewProgramFieldForTest(g), core.NewProgramRule(n))
+		return stepSchedule(n, core.NewProgramField(g), core.NewProgramRule(n))
 	})
 	generic := medianRunTime(t, 3, func() error {
-		return stepSchedule(n, core.NewProgramFieldForTest(g), genericOnly{core.NewProgramRule(n)})
+		return stepSchedule(n, core.NewProgramField(g), genericOnly{core.NewProgramRule(n)})
 	})
 	t.Logf("n=%d: fast path %v, generic path %v", n, fast, generic)
 	if fast >= generic {

@@ -29,8 +29,8 @@ func TestKernelLockstepOnCorpus(t *testing.T) {
 			if n == 0 {
 				continue
 			}
-			kernelField := core.NewProgramFieldForTest(c.Graph)
-			genericField := core.NewProgramFieldForTest(c.Graph)
+			kernelField := core.NewProgramField(c.Graph)
+			genericField := core.NewProgramField(c.Graph)
 			km := gca.NewMachine(kernelField, core.NewProgramRule(n), gca.WithWorkers(2))
 			gm := gca.NewMachine(genericField, genericOnly{core.NewProgramRule(n)}, gca.WithWorkers(1))
 

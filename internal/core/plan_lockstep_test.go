@@ -36,9 +36,9 @@ func TestPlanLockstepOnCorpus(t *testing.T) {
 					if n == 0 {
 						continue
 					}
-					spanField := core.NewProgramFieldForTest(c.Graph)
-					sweepField := core.NewProgramFieldForTest(c.Graph)
-					genField := core.NewProgramFieldForTest(c.Graph)
+					spanField := core.NewProgramField(c.Graph)
+					sweepField := core.NewProgramField(c.Graph)
+					genField := core.NewProgramField(c.Graph)
 					span := gca.NewMachine(spanField, core.NewProgramRule(n), gca.WithWorkers(workers))
 					sweep := gca.NewMachine(sweepField, core.NewProgramRule(n), gca.WithWorkers(workers), gca.WithFullSweep())
 					gen := gca.NewMachine(genField, genericOnly{core.NewProgramRule(n)}, gca.WithWorkers(workers))

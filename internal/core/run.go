@@ -79,7 +79,7 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 		return &Result{Labels: []int{}, N: 0}, nil
 	}
 	lay := Layout{N: n}
-	field := newProgramField(g, lay)
+	field := NewProgramField(g)
 
 	var mopts []gca.Option
 	mopts = append(mopts, gca.WithWorkers(opt.Workers))
@@ -159,11 +159,12 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// newProgramField builds the (n+1)×n cell field of the Figure-2 program
+// NewProgramField builds the (n+1)×n cell field of the Figure-2 program
 // with the adjacency matrix loaded into the static a field of the square
-// cells: cell (j,i).a = A(j,i). Shared by Run and the kernel lockstep
-// tests.
-func newProgramField(g *graph.Graph, lay Layout) *gca.Field {
+// cells: cell (j,i).a = A(j,i). It is the one field loader, shared by
+// Run, the gcasm rule-text program and the kernel lockstep tests.
+func NewProgramField(g *graph.Graph) *gca.Field {
+	lay := Layout{N: g.N()}
 	field := gca.NewField(lay.Size())
 	adj := g.Adjacency()
 	n := lay.N

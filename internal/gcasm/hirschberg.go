@@ -3,7 +3,7 @@ package gcasm
 import (
 	"fmt"
 
-	"gcacc/internal/gca"
+	"gcacc/internal/core"
 	"gcacc/internal/graph"
 )
 
@@ -94,15 +94,7 @@ func ConnectedComponents(g *graph.Graph, workers int) ([]int, *RunResult, error)
 	if n == 0 {
 		return []int{}, &RunResult{}, nil
 	}
-	field := gca.NewField(n * (n + 1))
-	adj := g.Adjacency()
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if adj.Get(j, i) {
-				field.SetCell(j*n+i, gca.Cell{A: 1})
-			}
-		}
-	}
+	field := core.NewProgramField(g)
 	res, err := HirschbergProgram().Run(RunConfig{N: n, Field: field, Workers: workers})
 	if err != nil {
 		return nil, nil, err

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -14,6 +15,22 @@ import (
 func newTestLoader(t *testing.T) *Loader {
 	t.Helper()
 	l, err := NewLoader("../..")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	return l
+}
+
+// sharedLoader is the whole-module tests' one loader per test binary,
+// so the module and the standard library it imports are typechecked
+// once. A Loader is not safe for concurrent use; its callers do not run
+// in parallel.
+var sharedLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader("../..") })
+
+// moduleLoader returns the shared whole-module loader.
+func moduleLoader(t *testing.T) *Loader {
+	t.Helper()
+	l, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
@@ -211,7 +228,7 @@ func TestSuppressionCountPinned(t *testing.T) {
 		t.Skip("typechecks the whole module; skipped in -short mode")
 	}
 	const pinnedSuppressions = 1 // internal/pram/primitives.go: ctxflow on a bounded primitive
-	l := newTestLoader(t)
+	l := moduleLoader(t)
 	paths, err := l.ModulePackages()
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +306,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the whole module; skipped in -short mode")
 	}
-	l := newTestLoader(t)
+	l := moduleLoader(t)
 	paths, err := l.ModulePackages()
 	if err != nil {
 		t.Fatal(err)

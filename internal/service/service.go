@@ -4,13 +4,14 @@
 // a stdlib-only metrics registry, and graceful drain on shutdown.
 //
 // The design transfers the paper's resource discipline from the machine
-// model to the process: just as internal/mparch schedules n² virtual
-// cells onto p physical processors with a barrier per generation, the
-// service schedules an unbounded request stream onto a fixed goroutine
-// budget — p concurrent requests share Config.SimWorkers simulator
-// goroutines instead of each spawning GOMAXPROCS of their own, and
-// everything beyond the queue bound is rejected at admission rather than
-// degrading everyone (the HTTP layer maps that rejection to 429).
+// model to the process: just as the simulator's stepping pool
+// schedules the (n+1)·n cells onto a fixed set of goroutines with a
+// barrier per generation, the service schedules an unbounded request
+// stream onto a fixed goroutine budget — p concurrent requests share
+// Config.SimWorkers simulator goroutines instead of each spawning
+// GOMAXPROCS of their own, and everything beyond the queue bound is
+// rejected at admission rather than degrading everyone (the HTTP layer
+// maps that rejection to 429).
 //
 // Requests are content-addressed: the cache key is the canonical
 // edge-list fingerprint of the graph (graph.EdgeListHash) plus the
@@ -627,51 +628,6 @@ func (s *Service) backoff(attempt int) time.Duration {
 	}
 	j := fault.Uniform01(uint64(s.cfg.Seed)^jitterSite, s.jitterN.Add(1))
 	return time.Duration(float64(d) * (0.5 + 0.5*j))
-}
-
-// CacheLookup probes the result cache for the (fingerprint, engine) key
-// without admitting or running anything — the cluster tier's federation
-// path, where a non-owner replica asks the shard owner's cache before
-// computing locally. A hit marks the entry most recently used and
-// returns a caller-owned copy; it is counted as a cache hit. A probe
-// never joins an in-flight computation: federation peer calls must stay
-// bounded, not block on a running job.
-func (s *Service) CacheLookup(fp [32]byte, engine gcacc.Engine) (*Result, bool) {
-	if s.cache == nil {
-		return nil, false
-	}
-	key := cacheKey{fp: fp, engine: engine}
-	s.mu.Lock()
-	res, ok := s.cache.get(key)
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	s.metrics.cacheHits.Inc()
-	return res.forCaller(true, false), true
-}
-
-// CacheInsert seeds the result cache with an externally computed result
-// under the (fingerprint, engine) key — the cluster tier's fill-back
-// path, where a non-owner replica that had to compute locally offers
-// the result to the shard owner so the owner's cache converges to
-// authoritative coverage of its key range. Degraded results are
-// refused, matching the worker-path policy; an in-flight local
-// computation for the same key simply overwrites the entry when it
-// lands, which is harmless — both results are identical by the
-// conformance contract.
-func (s *Service) CacheInsert(fp [32]byte, engine gcacc.Engine, res *Result) {
-	if s.cache == nil || res == nil || res.Degraded || res.Labels == nil {
-		return
-	}
-	cp := *res
-	cp.Labels = append([]int(nil), res.Labels...)
-	cp.Cached, cp.Coalesced = false, false
-	key := cacheKey{fp: fp, engine: engine}
-	s.mu.Lock()
-	evicted := s.cache.add(key, &cp)
-	s.mu.Unlock()
-	s.metrics.cacheEvictions.Add(int64(evicted))
 }
 
 // Stats snapshots every metric.

@@ -24,10 +24,6 @@ type ClusterOptions struct {
 	Replicas []int
 	// Engines are the engines to conform; nil selects all of them.
 	Engines []gcacc.Engine
-	// Mode selects the non-owner routing mode under test (proxy by
-	// default; the federate mode is conformed by the cluster package's
-	// own tests and the chaos soak).
-	Mode cluster.Mode
 	// Workers is the simulator goroutine budget per service (< 1 =
 	// GOMAXPROCS).
 	Workers int
@@ -44,14 +40,14 @@ func DefaultClusterOptions() ClusterOptions {
 //
 // The routing contract under test: every request is submitted through
 // EVERY replica of each topology — most of those entry points are
-// deliberately the wrong shard for the key, so the proxy/federate path
-// and the cache-federation machinery are on the critical path of almost
-// every check. Whatever replica a request enters through, the labels
-// must be bit-identical to the direct single-process engine run and to
-// the union-find ground truth, the reported owner must be the ring's
-// deterministic placement, and (for R > 1) peer traffic must actually
-// have flowed — a topology that silently served everything locally
-// fails the harness even if the labels agree.
+// deliberately the wrong shard for the key, so the proxy path is on
+// the critical path of almost every check. Whatever replica a request
+// enters through, the labels must be bit-identical to the direct
+// single-process engine run and to the union-find ground truth, the
+// reported owner must be the ring's deterministic placement, and (for
+// R > 1) peer traffic must actually have flowed — a topology that
+// silently served everything locally fails the harness even if the
+// labels agree.
 //
 // The batch path is conformed the same way: the whole corpus goes
 // through SubmitBatch as one batch per topology (with a deliberate
@@ -129,7 +125,7 @@ func runClusterTopology(opt ClusterOptions, r int, engines []gcacc.Engine, cases
 		QueueDepth:  64,
 		SimWorkers:  opt.Workers,
 		MaxVertices: 2*opt.N + 8,
-	}, cluster.Config{Mode: opt.Mode})
+	}, cluster.Config{})
 	if err != nil {
 		return fmt.Errorf("verify: building %d-replica topology: %w", r, err)
 	}

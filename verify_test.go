@@ -173,8 +173,8 @@ func TestConformanceStream(t *testing.T) {
 // corpus replayed through in-process cluster topologies of 1, 2 and 4
 // replicas, every request submitted through EVERY replica — most entry
 // points are deliberately the wrong shard for the key, so consistent-
-// hash routing, proxying and cache federation sit on the critical path
-// of nearly every check. Labels must be bit-identical to the direct
+// hash routing and proxying sit on the critical path of nearly every
+// check. Labels must be bit-identical to the direct
 // single-process run and to union-find ground truth regardless of entry
 // point, reported owners must match the ring's deterministic placement,
 // the corpus-as-one-batch path must agree item for item, and multi-
