@@ -119,10 +119,12 @@ bench-json:
 # bench smoke tests): the kernel fast path must beat the generic
 # per-cell path, workers=8 must not be meaningfully slower than
 # workers=1, and one full n=1024 run must finish inside a generous
-# wall-clock ceiling.
+# wall-clock ceiling. The third holds a dirty stream query within 3× of
+# the Liu–Tarjan run inside it (internal/stream).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 	GCACC_BENCH_SMOKE=1 $(GO) test -count=1 -run '^TestBenchSmoke' -v ./internal/core
+	GCACC_BENCH_SMOKE=1 $(GO) test -count=1 -run '^TestBenchSmokeStreamRecompute$$' -v ./internal/stream
 
 serve:
 	$(GO) run ./cmd/gca-serve

@@ -141,16 +141,20 @@ func TestComponentsOneKeyAcrossFormats(t *testing.T) {
 // a four-entry cache, so every request misses but is still hashed.
 func BenchmarkComponentsHandler(b *testing.B) {
 	cases := []struct {
-		name   string
-		engine string
-		gen    func(rng *rand.Rand) *sparse.Graph
+		name    string
+		engine  string
+		gen     func(rng *rand.Rand) *sparse.Graph
+		shuffle bool // body lines in random order, as clients may send them
 	}{
 		{"liutarjan/n=16384/m=32768", "liutarjan", func(rng *rand.Rand) *sparse.Graph {
 			return sparse.RandomEdges(16384, 32768, rng)
-		}},
+		}, false},
+		{"liutarjan/n=16384/m=32768/shuffled", "liutarjan", func(rng *rand.Rand) *sparse.Graph {
+			return sparse.RandomEdges(16384, 32768, rng)
+		}, true},
 		{"gca/n=128/p=0.03", "gca", func(rng *rand.Rand) *sparse.Graph {
 			return sparse.FromDense(graph.Gnp(128, 0.03, rng))
-		}},
+		}, false},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -162,6 +166,9 @@ func BenchmarkComponentsHandler(b *testing.B) {
 					b.Fatal(err)
 				}
 				bodies[i] = buf.Bytes()
+				if c.shuffle {
+					bodies[i] = shuffleLines(bodies[i], rng)
+				}
 			}
 			svc := service.New(service.Config{CacheEntries: 4})
 			b.Cleanup(svc.Close)
@@ -176,4 +183,13 @@ func BenchmarkComponentsHandler(b *testing.B) {
 			}
 		})
 	}
+}
+
+// shuffleLines keeps the header line of an "edges" body and puts the
+// edge lines after it in random order.
+func shuffleLines(body []byte, rng *rand.Rand) []byte {
+	lines := bytes.SplitAfter(body, []byte("\n"))
+	edges := lines[1:]
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return bytes.Join(lines, nil)
 }

@@ -20,7 +20,7 @@ import (
 //	DELETE /v1/graphs/{name}               drop the graph
 //	POST   /v1/graphs/{name}/edges         append a batch ("u v" lines)
 //	DELETE /v1/graphs/{name}/edges         retract a batch
-//	GET    /v1/graphs/{name}/components    labelling snapshot
+//	GET    /v1/graphs/{name}/components    labelling snapshot (?labels=0: count only)
 //	GET    /v1/graphs                      list graphs + registry stats
 //
 // Mutations take an optional ?epoch=N precondition (optimistic
@@ -140,14 +140,17 @@ func (api *streamAPI) mutate(appendOp bool) http.HandlerFunc {
 	}
 }
 
+// components answers a query; ?labels=0 makes it count-only, so the
+// O(n) labelling is neither built nor encoded.
 func (api *streamAPI) components(w http.ResponseWriter, r *http.Request) {
-	snap, err := api.reg.Components(r.Context(), r.PathValue("name"))
+	query := api.reg.Components
+	if r.URL.Query().Get("labels") == "0" {
+		query = api.reg.CountComponents
+	}
+	snap, err := query(r.Context(), r.PathValue("name"))
 	if err != nil {
 		writeError(w, streamStatusOf(err), err)
 		return
-	}
-	if r.URL.Query().Get("labels") == "0" {
-		snap.Labels = nil
 	}
 	writeJSON(w, http.StatusOK, snap)
 }

@@ -132,7 +132,7 @@ func LiuTarjan(g *Graph, opt Options) (Result, error) {
 	for v := range lt.labels {
 		lt.labels[v] = int32(v)
 	}
-	lt.edges = g.Edges()
+	lt.edges = g.edges // any order and duplicates: see the package comment
 	if lt.variant.Alter {
 		// Alter mutates the edge list; work on a copy so the caller's
 		// graph survives.

@@ -48,7 +48,7 @@ func LogDiameter(g *Graph, opt Options) (Result, error) {
 	}
 	// Hook and alter both rewrite state derived from the edge list; work
 	// on a copy so the caller's graph survives.
-	ld.edges = append([]Edge(nil), g.Edges()...)
+	ld.edges = append([]Edge(nil), g.edges...)
 
 	rounds := 0
 	for {

@@ -21,12 +21,19 @@
 // exchanged as []int to match the facade's labelling convention: every
 // engine labels each vertex with the smallest vertex index of its
 // component.
+//
+// The engines read the edge list as stored: any order, duplicates
+// included. Their labels and round counts depend only on the edge set,
+// because every phase combines proposals through an atomic minimum and
+// a duplicate edge repeats a proposal already made. Everything else
+// that reads the list (Edges, M, Fingerprint, the CSR view, the
+// converters, WriteEdgeStream) first puts it in canonical order, an O(m)
+// radix sort.
 package sparse
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"gcacc/internal/graph"
 )
@@ -50,8 +57,8 @@ type Edge struct {
 
 // Graph is an undirected graph on vertices 0..n-1 backed by an edge
 // list. Self-loops are rejected; parallel edges are collapsed by the
-// canonicalisation pass (sort + dedupe) that runs lazily before any
-// query that needs the canonical form.
+// canonicalisation pass (radix sort + dedupe) that runs lazily before
+// any query that needs the canonical form.
 type Graph struct {
 	n     int
 	edges []Edge
@@ -70,6 +77,22 @@ func New(n int) *Graph {
 		panic(fmt.Sprintf("sparse: vertex count %d out of range [0,%d]", n, MaxVertices))
 	}
 	return &Graph{n: n, canon: true}
+}
+
+// FromEdges returns the graph on n vertices with the given edges, in
+// any order and possibly repeated. Every edge must satisfy
+// 0 ≤ U < V < n. The graph takes ownership of edges: the caller must
+// not use the slice afterwards.
+func FromEdges(n int, edges []Edge) (*Graph, error) {
+	if n < 0 || n > MaxVertices {
+		return nil, fmt.Errorf("sparse: vertex count %d out of range [0,%d]", n, MaxVertices)
+	}
+	for _, e := range edges {
+		if e.U < 0 || e.U >= e.V || int(e.V) >= n {
+			return nil, fmt.Errorf("sparse: edge (%d,%d) is not 0 ≤ u < v < %d", e.U, e.V, n)
+		}
+	}
+	return &Graph{n: n, edges: edges, canon: len(edges) == 0}, nil
 }
 
 // N returns the number of vertices.
@@ -123,25 +146,88 @@ func (g *Graph) Neighbors(u int, dst []int) []int {
 	return dst
 }
 
-// canonicalise sorts the edge list ascending and collapses duplicates.
+// canonicalise puts the edge list in canonical order (ascending by U,
+// then V) and collapses duplicates. A list that is canonical already —
+// WriteEdgeStream output, for instance — costs one O(m) scan; anything
+// else goes through radixSortEdges, O(m) per pass over the bits of n−1.
 func (g *Graph) canonicalise() {
 	if g.canon {
 		return
 	}
-	slices.SortFunc(g.edges, func(a, b Edge) int {
-		if c := cmp.Compare(a.U, b.U); c != 0 {
-			return c
+	if !strictlyAscending(g.edges) {
+		radixSortEdges(g.edges, g.n)
+		out := g.edges[:0]
+		for i, e := range g.edges {
+			if i == 0 || e != g.edges[i-1] {
+				out = append(out, e)
+			}
 		}
-		return cmp.Compare(a.V, b.V)
-	})
-	out := g.edges[:0]
-	for i, e := range g.edges {
-		if i == 0 || e != g.edges[i-1] {
-			out = append(out, e)
+		g.edges = out
+	}
+	g.canon = true
+}
+
+// strictlyAscending reports whether edges is in canonical order: sorted
+// by (U, V) with no repeats.
+func strictlyAscending(edges []Edge) bool {
+	for i := 1; i < len(edges); i++ {
+		a, b := edges[i-1], edges[i]
+		if uint64(a.U)<<32|uint64(a.V) >= uint64(b.U)<<32|uint64(b.V) {
+			return false
 		}
 	}
-	g.edges = out
-	g.canon = true
+	return true
+}
+
+// maxDigitBits caps the radix digit width: 2¹¹ counters per pass stay
+// in L1 while the passes per coordinate stay at most three (n ≤ 2²⁶).
+const maxDigitBits = 11
+
+// radixSortEdges sorts edges ascending by (U, V), every endpoint below
+// n, with a least-significant-digit radix sort: the digits of V first,
+// then those of U, each a stable counting pass between edges and one
+// m-edge scratch buffer. Each coordinate's bits(n−1) bits are split
+// into ⌈bits/11⌉ equal-width digits, so an n = 128 graph costs one
+// 7-bit pass per coordinate. One read pass fills every digit's
+// histogram.
+func radixSortEdges(edges []Edge, n int) {
+	bitsN := bits.Len(uint(max(n-1, 0)))
+	if len(edges) < 2 || bitsN == 0 {
+		return
+	}
+	passes := (bitsN + maxDigitBits - 1) / maxDigitBits
+	width := uint((bitsN + passes - 1) / passes)
+	buckets := 1 << width
+	mask := uint64(buckets - 1)
+	// key lays V's digits below U's, so digit d of the key is digit d of
+	// the (V, then U) pass sequence.
+	vBits := uint(passes) * width
+	key := func(e Edge) uint64 { return uint64(e.U)<<vBits | uint64(e.V) }
+	digits := 2 * passes
+	counts := make([]int, digits*buckets)
+	for _, e := range edges {
+		k := key(e)
+		for d := 0; d < digits; d++ {
+			counts[d*buckets+int(k>>(uint(d)*width)&mask)]++
+		}
+	}
+	src, dst := edges, make([]Edge, len(edges))
+	for d := 0; d < digits; d++ {
+		c := counts[d*buckets : (d+1)*buckets]
+		shift := uint(d) * width
+		sum := 0
+		for i, k := range c {
+			c[i] = sum
+			sum += k
+		}
+		for _, e := range src {
+			k := key(e) >> shift & mask
+			dst[c[k]] = e
+			c[k]++
+		}
+		src, dst = dst, src
+	}
+	// 2·passes swaps: the sorted edges are back in the caller's slice.
 }
 
 // csr returns (building if needed) the CSR adjacency view.

@@ -56,7 +56,8 @@ func BenchmarkStreamAppend(b *testing.B) {
 }
 
 // BenchmarkStreamQuery measures clean (incremental) queries against a
-// populated graph: one O(n) label snapshot per query, no recompute.
+// populated graph, no recompute: a labels query pays one O(n) label
+// snapshot, a count-only query (?labels=0 over HTTP) does not.
 func BenchmarkStreamQuery(b *testing.B) {
 	const n = 100_000
 	ctx := context.Background()
@@ -67,14 +68,19 @@ func BenchmarkStreamQuery(b *testing.B) {
 	if _, err := st.Append(ctx, benchEdges(n, 2*n), NoEpoch); err != nil {
 		b.Fatal(err)
 	}
-	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := st.Components(ctx); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		query func(context.Context) (*Snapshot, error)
+	}{{"labels", st.Components}, {"count", st.CountComponents}} {
+		b.Run(fmt.Sprintf("n=%d/%s", n, c.name), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.query(ctx); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkStreamRecompute measures the deletion-tolerance cost: each

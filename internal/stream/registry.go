@@ -278,13 +278,23 @@ func (r *Registry) Delete(ctx context.Context, name string, edges []sparse.Edge,
 
 // Components answers a query on a named graph.
 func (r *Registry) Components(ctx context.Context, name string) (*Snapshot, error) {
+	return r.query(ctx, name, true)
+}
+
+// CountComponents answers a count-only query on a named graph: the
+// snapshot of State.CountComponents, without the labelling.
+func (r *Registry) CountComponents(ctx context.Context, name string) (*Snapshot, error) {
+	return r.query(ctx, name, false)
+}
+
+func (r *Registry) query(ctx context.Context, name string, labels bool) (*Snapshot, error) {
 	st, err := r.Get(name)
 	if err != nil {
 		r.m.rejected.Inc()
 		return nil, err
 	}
 	start := r.cfg.Clock.Now()
-	snap, err := st.Components(ctx)
+	snap, err := st.query(ctx, labels)
 	if err != nil {
 		return nil, err
 	}

@@ -146,3 +146,40 @@ func TestRegistryDeleteWrapper(t *testing.T) {
 		t.Fatal("recompute latency not recorded")
 	}
 }
+
+// TestCountComponents pins the count-only query: it answers the same
+// epoch, count and recompute as a labels query, leaves Labels nil, and
+// is counted (and recomputes) exactly like Components.
+func TestCountComponents(t *testing.T) {
+	ctx := context.Background()
+	r := NewRegistry(RegistryConfig{})
+	if _, err := r.Create("g", 6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Append(ctx, "g", []sparse.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}}, NoEpoch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Delete(ctx, "g", []sparse.Edge{{U: 1, V: 2}}, NoEpoch); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.CountComponents(ctx, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Labels != nil || snap.Components != 4 || !snap.Recomputed || snap.Epoch != 2 {
+		t.Fatalf("count after delete = %+v, want 4 components at epoch 2 via recompute, no labels", snap)
+	}
+	full, err := r.Components(ctx, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Recomputed || full.Components != 4 || len(full.Labels) != 6 {
+		t.Fatalf("labels query after the count = %+v, want a clean answer with 6 labels", full)
+	}
+	if _, err := r.CountComponents(ctx, "nope"); !errors.Is(err, ErrUnknownGraph) {
+		t.Fatalf("count on unknown graph: %v", err)
+	}
+	if s := r.Stats(); s.Queries != 2 || s.Recomputes != 1 || s.Rejected != 1 {
+		t.Fatalf("stats = %+v, want 2 queries, 1 recompute, 1 rejected", s)
+	}
+}

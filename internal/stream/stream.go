@@ -15,7 +15,10 @@
 // the forest from the engine's labelling. The recompute is bounded —
 // one Θ(n+m) engine run, coalesced across queries, never cascading —
 // and the forest in between is a safe over-approximation that is never
-// served while dirty.
+// served while dirty. Nothing on the recompute path sorts: the live set
+// goes to the engine in map order (the sparse engines accept any edge
+// order), and the O(n) labelling is built only for queries that ask for
+// it (Components, not CountComponents).
 package stream
 
 import (
@@ -327,6 +330,16 @@ func (s *State) needsRecomputeLocked() bool {
 // Components answers a query at the current epoch, recomputing first if
 // the deletion policy or the conformance period requires it.
 func (s *State) Components(ctx context.Context) (*Snapshot, error) {
+	return s.query(ctx, true)
+}
+
+// CountComponents answers the same query as Components but leaves
+// Snapshot.Labels nil, skipping the O(n) labelling.
+func (s *State) CountComponents(ctx context.Context) (*Snapshot, error) {
+	return s.query(ctx, false)
+}
+
+func (s *State) query(ctx context.Context, labels bool) (*Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -344,7 +357,9 @@ func (s *State) Components(ctx context.Context) (*Snapshot, error) {
 	}
 	snap.Epoch = s.epoch
 	snap.Components = s.uf.Sets()
-	snap.Labels = s.uf.Labels(nil)
+	if labels {
+		snap.Labels = s.uf.Labels(nil)
+	}
 	s.queries++
 	return snap, nil
 }
@@ -365,9 +380,16 @@ func (s *State) Recompute(ctx context.Context) error {
 // step faults and context cancellation mid-recompute) the forest is
 // unchanged and, if it was dirty, stays dirty — a later query retries.
 func (s *State) recomputeLocked(ctx context.Context) (rounds int, err error) {
-	g := sparse.New(s.n)
+	// The engines take edges in any order, so the live set goes in as
+	// the map yields it: one pre-sized fill, no sort.
+	edges := make([]sparse.Edge, 0, len(s.live))
 	for e := range s.live {
-		g.AddEdge(int(e.U), int(e.V))
+		edges = append(edges, e)
+	}
+	g, err := sparse.FromEdges(s.n, edges)
+	if err != nil {
+		s.recompErrors++
+		return 0, err
 	}
 	rep, err := gcacc.ConnectedComponentsSparse(ctx, g, gcacc.Options{
 		Engine:  s.cfg.Engine,
